@@ -44,7 +44,7 @@ fn bench_count_engine(report: &mut BenchReport, batch: u64) {
         });
         println!("{:>28} {:>12} {:>10}", "majority_step", n, fmt(ns));
         report.push_row([("case", "majority_step".into()), ("n", n.into()), ("ns_per_step", ns.into())]
-            as [(&str, pp_bench::Value); 3]);
+            as [(&str, pp_bench::JsonValue); 3]);
     }
     {
         let n = if pp_bench::smoke() { 1_000 } else { 1_000_000 };
@@ -56,7 +56,7 @@ fn bench_count_engine(report: &mut BenchReport, batch: u64) {
         });
         println!("{:>28} {:>12} {:>10}", "count_to_5_step", n, fmt(ns));
         report.push_row([("case", "count_to_5_step".into()), ("n", n.into()), ("ns_per_step", ns.into())]
-            as [(&str, pp_bench::Value); 3]);
+            as [(&str, pp_bench::JsonValue); 3]);
     }
     {
         let half = if pp_bench::smoke() { 500 } else { 5_000 };
@@ -71,7 +71,7 @@ fn bench_count_engine(report: &mut BenchReport, batch: u64) {
             ("case", "compiled_formula_step".into()),
             ("n", (2 * half + 1).into()),
             ("ns_per_step", ns.into()),
-        ] as [(&str, pp_bench::Value); 3]);
+        ] as [(&str, pp_bench::JsonValue); 3]);
     }
 }
 
@@ -104,7 +104,7 @@ fn bench_leap_engine(report: &mut BenchReport) {
         let us = start.elapsed().as_micros() as f64 / f64::from(runs);
         println!("{:>28} {:>12} {:>10}", "epidemic_full_run", n, fmt(us));
         report.push_row([("case", "epidemic_full_run".into()), ("n", n.into()), ("us_per_run", us.into())]
-            as [(&str, pp_bench::Value); 3]);
+            as [(&str, pp_bench::JsonValue); 3]);
     }
 }
 
@@ -125,7 +125,7 @@ fn bench_agent_engine(report: &mut BenchReport, batch: u64) {
         });
         println!("{:>28} {:>12} {:>10}", "graphsim_step", n, fmt(ns));
         report.push_row([("case", "graphsim_step".into()), ("n", n.into()), ("ns_per_step", ns.into())]
-            as [(&str, pp_bench::Value); 3]);
+            as [(&str, pp_bench::JsonValue); 3]);
     }
 }
 

@@ -107,7 +107,7 @@ fn main() {
             fmt(et)
         );
         report.push_row([
-            ("phi", pp_bench::Value::from(phi)),
+            ("phi", pp_bench::JsonValue::from(phi)),
             ("corrupted", k.into()),
             ("approx_recovery_rate", ar.into()),
             ("approx_recovery_time", at.into()),

@@ -22,7 +22,7 @@
 //! Alongside the tables, the run emits `BENCH_e18_rule_profile.json` with
 //! one row per phase plus the trajectory samples of the majority run.
 
-use pp_bench::{fmt, print_header, BenchReport, Value};
+use pp_bench::{fmt, print_header, BenchReport, JsonValue};
 use pp_core::observe::{MetricsProbe, TrajectoryProbe};
 use pp_core::{seeded_rng, Simulation, StateId};
 use pp_protocols::ext::{ApproximateMajority, Opinion};
@@ -64,7 +64,7 @@ fn flush_phase(
         fmt(ratio),
         if rule_str.is_empty() { "-".to_owned() } else { rule_str.clone() }
     );
-    let mut row: Vec<(String, Value)> = vec![
+    let mut row: Vec<(String, JsonValue)> = vec![
         ("kind".into(), "phase".into()),
         ("protocol".into(), protocol.into()),
         ("phase".into(), phase.into()),
@@ -119,7 +119,7 @@ fn approximate_majority_profile(n: u64, report: &mut BenchReport) {
     // Occupancy curve: the log-sampled trajectory of the whole run.
     let trajectory = &sim.probe().1;
     for (step, occ) in trajectory.samples() {
-        let mut row: Vec<(String, Value)> = vec![
+        let mut row: Vec<(String, JsonValue)> = vec![
             ("kind".into(), "trajectory".into()),
             ("protocol".into(), "approx_maj".into()),
             ("step".into(), (*step).into()),

@@ -62,7 +62,7 @@ fn main() {
             ("case", "majority_step".into()),
             ("n", n.into()),
             ("ns_per_step", seq.into()),
-        ] as [(&str, pp_bench::Value); 3]);
+        ] as [(&str, pp_bench::JsonValue); 3]);
 
         let bat = time_batched(n, k_bat);
         let speedup = seq / bat;
@@ -72,7 +72,7 @@ fn main() {
             ("n", n.into()),
             ("ns_per_step", bat.into()),
             ("speedup", speedup.into()),
-        ] as [(&str, pp_bench::Value); 4]);
+        ] as [(&str, pp_bench::JsonValue); 4]);
     }
     report.write();
 }

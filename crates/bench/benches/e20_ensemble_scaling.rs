@@ -192,7 +192,7 @@ fn sweep_case(
             fmt(rep.mean()),
         );
         report.push_row([
-            ("case", pp_bench::Value::from(case)),
+            ("case", pp_bench::JsonValue::from(case)),
             ("threads", (threads as u64).into()),
             ("wall_s", wall.into()),
             ("speedup", speedup.into()),

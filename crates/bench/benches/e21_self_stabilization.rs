@@ -26,7 +26,7 @@
 
 use std::time::Instant;
 
-use pp_bench::{fmt, print_header, BenchReport, Value};
+use pp_bench::{fmt, print_header, BenchReport, JsonValue};
 use pp_core::ensemble::Ensemble;
 use pp_core::faults::{enumeration_count, AdversarialInit, Mttr};
 use pp_core::scheduler::UniformPairScheduler;
@@ -216,8 +216,8 @@ fn run_row(
         fmt(wall),
     );
     report.push_row([
-        ("case", Value::from(case)),
-        ("mode", Value::from(mode)),
+        ("case", JsonValue::from(case)),
+        ("mode", JsonValue::from(mode)),
         ("n", n.into()),
         ("trials", one.trials().into()),
         ("recovery_rate", one.recovery_probability().into()),

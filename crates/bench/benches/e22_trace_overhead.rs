@@ -85,7 +85,7 @@ fn main() {
         let (base, _) = time_batched(n, k, pp_core::NoTracer);
         println!("{:>18} {:>12} {:>12} {:>14} {:>9}", "majority_batched", "no_tracer", n, fmt(base), "");
         report.push_row([
-            ("case", pp_bench::Value::from("majority_batched")),
+            ("case", pp_bench::JsonValue::from("majority_batched")),
             ("tracer", "no_tracer".into()),
             ("n", n.into()),
             ("ns_per_step", base.into()),
@@ -115,7 +115,7 @@ fn main() {
             fmt((stats_ns / base - 1.0) * 100.0)
         );
         report.push_row([
-            ("case", pp_bench::Value::from("majority_batched")),
+            ("case", pp_bench::JsonValue::from("majority_batched")),
             ("tracer", "span_stats".into()),
             ("n", n.into()),
             ("ns_per_step", stats_ns.into()),
@@ -129,7 +129,7 @@ fn main() {
             fmt((chrome_ns / base - 1.0) * 100.0)
         );
         report.push_row([
-            ("case", pp_bench::Value::from("majority_batched")),
+            ("case", pp_bench::JsonValue::from("majority_batched")),
             ("tracer", "chrome".into()),
             ("n", n.into()),
             ("ns_per_step", chrome_ns.into()),
@@ -158,7 +158,7 @@ fn main() {
                 kind.name(), count, fmt(self_ns / total_k as f64), share * 100.0
             );
             report.push_row([
-                ("case", pp_bench::Value::from("span")),
+                ("case", pp_bench::JsonValue::from("span")),
                 ("kind", kind.name().into()),
                 ("n", n.into()),
                 ("count", count.into()),

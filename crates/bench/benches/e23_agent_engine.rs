@@ -135,7 +135,7 @@ fn main() {
             fmt(std),
             speedup.map_or(String::new(), fmt),
         );
-        let mut row: Vec<(&str, pp_bench::Value)> = vec![
+        let mut row: Vec<(&str, pp_bench::JsonValue)> = vec![
             ("case", case.to_string().into()),
             ("n", (n as u64).into()),
             ("ns_per_step", ns.into()),

@@ -179,7 +179,7 @@ fn main() {
                 fmt(engine_wall),
                 fmt(tv),
             );
-            let row: Vec<(&str, pp_bench::Value)> = vec![
+            let row: Vec<(&str, pp_bench::JsonValue)> = vec![
                 ("case", "ode_vs_engine".to_string().into()),
                 ("protocol", case.name.to_string().into()),
                 ("n", n.into()),
@@ -216,7 +216,7 @@ fn main() {
             "",
             fmt(tau),
         );
-        let row: Vec<(&str, pp_bench::Value)> = vec![
+        let row: Vec<(&str, pp_bench::JsonValue)> = vec![
             ("case", "flat_cost".to_string().into()),
             ("protocol", "approx_majority_60_40".to_string().into()),
             ("n", n.into()),
@@ -256,7 +256,7 @@ fn main() {
         "{:>14} {:>22} {:>17} {:>12} {:>9} {:>9}",
         "divergence", "leader_election", 1_000_000u64, "", "", "refused",
     );
-    let row: Vec<(&str, pp_bench::Value)> = vec![
+    let row: Vec<(&str, pp_bench::JsonValue)> = vec![
         ("case", "divergence_guard".to_string().into()),
         ("protocol", "leader_election".to_string().into()),
         ("n", 1_000_000u64.into()),

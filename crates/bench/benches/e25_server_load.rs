@@ -176,7 +176,7 @@ fn main() {
         u64::from(identical),
     );
     report.push_row([
-        ("case", pp_bench::Value::from("load")),
+        ("case", pp_bench::JsonValue::from("load")),
         ("clients", (p.clients as u64).into()),
         ("requests", (total as u64).into()),
         ("wall_s", wall.into()),
@@ -214,7 +214,7 @@ fn main() {
         1,
     );
     report.push_row([
-        ("case", pp_bench::Value::from("cache")),
+        ("case", pp_bench::JsonValue::from("cache")),
         ("cold_us", cold_us.into()),
         ("warm_mean_us", warm_mean.into()),
         ("speedup", speedup.into()),
@@ -230,7 +230,7 @@ fn main() {
     }
     assert_eq!(alive, p.clients as u64, "a worker died under load");
     report.push_row([
-        ("case", pp_bench::Value::from("health")),
+        ("case", pp_bench::JsonValue::from("health")),
         ("probes", (p.clients as u64).into()),
         ("alive", alive.into()),
     ]);

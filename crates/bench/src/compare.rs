@@ -11,9 +11,8 @@
 //! in the baseline but missing from the current report are coverage
 //! regressions and fail the gate too.
 //!
-//! The build is offline, so the reader is a tiny hand-rolled
-//! recursive-descent JSON parser ([`parse_json`]) — just enough for the
-//! `pp-bench/v1` reports this crate itself emits.
+//! Reports are read with the workspace's one JSON codec,
+//! [`pp_core::json`].
 //!
 //! Driven by the `ppbench-compare` binary (workspace `src/bin/`), which CI
 //! runs against the six checked-in baselines on every bench-smoke job and
@@ -23,6 +22,7 @@
 use std::fmt::Write as _;
 use std::path::Path;
 
+use pp_core::json::{parse_json, JsonValue};
 use pp_core::Welford;
 
 /// Timing metrics compared against the baseline (larger = worse). All
@@ -44,266 +44,6 @@ pub const EXCLUDED: &[&str] =
 pub const DEFAULT_TOLERANCE: f64 = 0.25;
 
 // ---------------------------------------------------------------------------
-// Minimal JSON value + recursive-descent parser
-// ---------------------------------------------------------------------------
-
-/// A parsed JSON value. Numbers are kept as `f64` — the reports only carry
-/// measurement scalars, well inside the 2⁵³ exact-integer range.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// Any number.
-    Num(f64),
-    /// A string.
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object, preserving field order.
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Looks up a field of an object; `None` for other variants.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The numeric value, if this is a number.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(v) => Some(*v),
-            _ => None,
-        }
-    }
-
-    /// The string value, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// Compact display form used in row keys and delta tables.
-    pub fn display(&self) -> String {
-        match self {
-            Json::Null => "null".into(),
-            Json::Bool(b) => b.to_string(),
-            Json::Num(v) => format_num(*v),
-            Json::Str(s) => s.clone(),
-            Json::Arr(xs) => {
-                let mut out = String::from("[");
-                for (i, x) in xs.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push_str(&x.display());
-                }
-                out.push(']');
-                out
-            }
-            Json::Obj(_) => "{..}".into(),
-        }
-    }
-}
-
-fn format_num(v: f64) -> String {
-    if v == v.trunc() && v.abs() < 1e15 {
-        format!("{}", v as i64)
-    } else {
-        format!("{v}")
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn err(&self, msg: &str) -> String {
-        format!("JSON parse error at byte {}: {msg}", self.pos)
-    }
-
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected '{}'", b as char)))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
-            _ => Err(self.err("expected a JSON value")),
-        }
-    }
-
-    fn literal(&mut self, word: &str, val: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(val)
-        } else {
-            Err(self.err(&format!("expected '{word}'")))
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        while let Some(b) = self.peek() {
-            if b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|_| self.err("bad utf-8 in number"))?;
-        text.parse::<f64>().map(Json::Num).map_err(|_| self.err(&format!("bad number '{text}'")))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16).map_err(|_| self.err("bad \\u escape"))?;
-                            // Reports never emit surrogate pairs; map lone
-                            // surrogates to U+FFFD rather than erroring.
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
-                        }
-                        _ => return Err(self.err("bad escape")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Copy one UTF-8 scalar (multi-byte safe).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..]).map_err(|_| self.err("bad utf-8"))?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut xs = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(xs));
-        }
-        loop {
-            xs.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => {
-                    self.pos += 1;
-                }
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(xs));
-                }
-                _ => return Err(self.err("expected ',' or ']'")),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            let val = self.value()?;
-            fields.push((key, val));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => {
-                    self.pos += 1;
-                }
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                _ => return Err(self.err("expected ',' or '}'")),
-            }
-        }
-    }
-}
-
-/// Parses one JSON document, requiring the whole input to be consumed.
-pub fn parse_json(text: &str) -> Result<Json, String> {
-    let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing data after JSON document"));
-    }
-    Ok(v)
-}
-
-// ---------------------------------------------------------------------------
 // Bench-report model
 // ---------------------------------------------------------------------------
 
@@ -314,26 +54,26 @@ pub struct BenchFile {
     /// Experiment id, e.g. `"e19_batched_throughput"`.
     pub experiment: String,
     /// Measurement rows, each an ordered list of `(name, value)` cells.
-    pub rows: Vec<Vec<(String, Json)>>,
+    pub rows: Vec<Vec<(String, JsonValue)>>,
 }
 
 /// Parses a `pp-bench/v1` report.
 pub fn parse_bench_file(text: &str) -> Result<BenchFile, String> {
-    let doc = parse_json(text)?;
-    let schema = doc.get("schema").and_then(Json::as_str).unwrap_or("");
+    let doc = parse_json(text).map_err(|e| e.to_string())?;
+    let schema = doc.get("schema").and_then(JsonValue::as_str).unwrap_or("");
     if schema != "pp-bench/v1" {
         return Err(format!("unsupported schema {schema:?} (want \"pp-bench/v1\")"));
     }
     let experiment = doc
         .get("experiment")
-        .and_then(Json::as_str)
+        .and_then(JsonValue::as_str)
         .ok_or("report has no \"experiment\" field")?
         .to_owned();
     let rows = match doc.get("rows") {
-        Some(Json::Arr(rows)) => rows
+        Some(JsonValue::Arr(rows)) => rows
             .iter()
             .map(|r| match r {
-                Json::Obj(fields) => Ok(fields.clone()),
+                JsonValue::Obj(fields) => Ok(fields.clone()),
                 _ => Err("row is not an object".to_owned()),
             })
             .collect::<Result<Vec<_>, _>>()?,
@@ -345,7 +85,7 @@ pub fn parse_bench_file(text: &str) -> Result<BenchFile, String> {
 /// The identity key of a row: every cell that is neither a compared metric,
 /// a `<metric>_std` companion, nor excluded, rendered as `k=v` joined by
 /// spaces. Two reports' rows are matched on this key.
-pub fn row_key(row: &[(String, Json)]) -> String {
+pub fn row_key(row: &[(String, JsonValue)]) -> String {
     let mut key = String::new();
     for (k, v) in row {
         if METRICS.contains(&k.as_str()) || EXCLUDED.contains(&k.as_str()) {
@@ -359,7 +99,11 @@ pub fn row_key(row: &[(String, Json)]) -> String {
         if !key.is_empty() {
             key.push(' ');
         }
-        let _ = write!(key, "{k}={}", v.display());
+        let _ = write!(key, "{k}=");
+        match v {
+            JsonValue::Str(s) => key.push_str(s),
+            other => other.write(&mut key),
+        }
     }
     key
 }
@@ -371,7 +115,7 @@ pub fn inflate_metrics(file: &mut BenchFile, factor: f64) {
     for row in &mut file.rows {
         for (k, v) in row.iter_mut() {
             if METRICS.contains(&k.as_str()) {
-                if let Json::Num(x) = v {
+                if let JsonValue::Num(x) = v {
                     *x *= factor;
                 }
             }
@@ -607,7 +351,7 @@ fn truncate(s: &str, max: usize) -> String {
 mod tests {
     use super::*;
 
-    fn file(exp: &str, rows: Vec<Vec<(&str, Json)>>) -> BenchFile {
+    fn file(exp: &str, rows: Vec<Vec<(&str, JsonValue)>>) -> BenchFile {
         BenchFile {
             experiment: exp.into(),
             rows: rows
@@ -634,17 +378,8 @@ mod tests {
     }
 
     #[test]
-    fn parser_handles_escapes_nulls_and_nested_values() {
-        let v = parse_json(r#"{"a":"x\n\"yA","b":[null,true,-2.5e1],"c":{}}"#).unwrap();
-        assert_eq!(v.get("a").unwrap().as_str(), Some("x\n\"yA"));
-        assert_eq!(v.get("b"), Some(&Json::Arr(vec![Json::Null, Json::Bool(true), Json::Num(-25.0)])));
-        assert!(parse_json("{\"a\":1} extra").is_err());
-        assert!(parse_json("{\"a\":}").is_err());
-    }
-
-    #[test]
     fn within_tolerance_passes_and_beyond_fails() {
-        let baseline = file("e", vec![vec![("case", Json::Str("a".into())), ("ns_per_step", Json::Num(10.0))]]);
+        let baseline = file("e", vec![vec![("case", JsonValue::Str("a".into())), ("ns_per_step", JsonValue::Num(10.0))]]);
         let mut slow = baseline.clone();
         inflate_metrics(&mut slow, 1.2); // +20% < 25% floor
         let mut out = CompareOutcome::default();
@@ -666,17 +401,17 @@ mod tests {
         let baseline = file(
             "e",
             vec![vec![
-                ("case", Json::Str("a".into())),
-                ("wall_s", Json::Num(10.0)),
-                ("wall_s_std", Json::Num(2.0)),
+                ("case", JsonValue::Str("a".into())),
+                ("wall_s", JsonValue::Num(10.0)),
+                ("wall_s_std", JsonValue::Num(2.0)),
             ]],
         );
         let current = file(
             "e",
             vec![vec![
-                ("case", Json::Str("a".into())),
-                ("wall_s", Json::Num(15.0)),
-                ("wall_s_std", Json::Num(2.0)),
+                ("case", JsonValue::Str("a".into())),
+                ("wall_s", JsonValue::Num(15.0)),
+                ("wall_s_std", JsonValue::Num(2.0)),
             ]],
         );
         let mut out = CompareOutcome::default();
@@ -692,15 +427,15 @@ mod tests {
         let baseline = file(
             "e",
             vec![
-                vec![("case", Json::Str("gone".into())), ("ns_per_step", Json::Num(5.0))],
-                vec![("case", Json::Str("kept".into())), ("ns_per_step", Json::Num(10.0))],
+                vec![("case", JsonValue::Str("gone".into())), ("ns_per_step", JsonValue::Num(5.0))],
+                vec![("case", JsonValue::Str("kept".into())), ("ns_per_step", JsonValue::Num(10.0))],
             ],
         );
         let current = file(
             "e",
             vec![
-                vec![("case", Json::Str("kept".into())), ("ns_per_step", Json::Num(1.0))],
-                vec![("case", Json::Str("fresh".into())), ("ns_per_step", Json::Num(9.0))],
+                vec![("case", JsonValue::Str("kept".into())), ("ns_per_step", JsonValue::Num(1.0))],
+                vec![("case", JsonValue::Str("fresh".into())), ("ns_per_step", JsonValue::Num(9.0))],
             ],
         );
         let mut out = CompareOutcome::default();
@@ -718,10 +453,10 @@ mod tests {
         let baseline = file(
             "e",
             vec![vec![
-                ("case", Json::Str("a".into())),
-                ("ns_per_step", Json::Num(10.0)),
-                ("us_per_run", Json::Num(3.0)),
-                ("wall_s", Json::Num(1.0)),
+                ("case", JsonValue::Str("a".into())),
+                ("ns_per_step", JsonValue::Num(10.0)),
+                ("us_per_run", JsonValue::Num(3.0)),
+                ("wall_s", JsonValue::Num(1.0)),
             ]],
         );
         let mut slow = baseline.clone();

@@ -19,8 +19,9 @@
 pub mod compare;
 pub mod report;
 
-pub use compare::{compare_dirs, parse_bench_file, parse_json, render_report, CompareOutcome, Json, DEFAULT_TOLERANCE};
-pub use report::{smoke, unix_now, BenchReport, Value};
+pub use compare::{compare_dirs, parse_bench_file, render_report, CompareOutcome, DEFAULT_TOLERANCE};
+pub use pp_core::json::JsonValue;
+pub use report::{smoke, unix_now, BenchReport};
 
 /// Sample mean.
 pub fn mean(xs: &[f64]) -> f64 {

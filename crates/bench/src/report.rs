@@ -33,6 +33,7 @@ use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
+use pp_core::json::{write_object, write_str, JsonValue};
 use pp_core::RunManifest;
 
 /// Whether this bench run is a CI smoke run (`PP_BENCH_SMOKE` set to
@@ -58,146 +59,13 @@ pub fn unix_now() -> u64 {
     SystemTime::now().duration_since(UNIX_EPOCH).map(|d| d.as_secs()).unwrap_or(0)
 }
 
-/// A JSON-serializable scalar or list cell.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Value {
-    /// A float; non-finite values serialize as `null`.
-    F64(f64),
-    /// An unsigned integer.
-    U64(u64),
-    /// A signed integer.
-    I64(i64),
-    /// A string.
-    Str(String),
-    /// A boolean.
-    Bool(bool),
-    /// A homogeneous or heterogeneous list.
-    List(Vec<Value>),
-}
-
-impl From<f64> for Value {
-    fn from(v: f64) -> Self {
-        Value::F64(v)
-    }
-}
-
-impl From<u64> for Value {
-    fn from(v: u64) -> Self {
-        Value::U64(v)
-    }
-}
-
-impl From<u32> for Value {
-    fn from(v: u32) -> Self {
-        Value::U64(v.into())
-    }
-}
-
-impl From<usize> for Value {
-    fn from(v: usize) -> Self {
-        Value::U64(v as u64)
-    }
-}
-
-impl From<i64> for Value {
-    fn from(v: i64) -> Self {
-        Value::I64(v)
-    }
-}
-
-impl From<bool> for Value {
-    fn from(v: bool) -> Self {
-        Value::Bool(v)
-    }
-}
-
-impl From<&str> for Value {
-    fn from(v: &str) -> Self {
-        Value::Str(v.to_owned())
-    }
-}
-
-impl From<String> for Value {
-    fn from(v: String) -> Self {
-        Value::Str(v)
-    }
-}
-
-impl<T: Into<Value>> From<Vec<T>> for Value {
-    fn from(v: Vec<T>) -> Self {
-        Value::List(v.into_iter().map(Into::into).collect())
-    }
-}
-
-fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-impl Value {
-    fn push_json(&self, out: &mut String) {
-        match self {
-            Value::F64(v) if !v.is_finite() => out.push_str("null"),
-            Value::F64(v) => {
-                let _ = write!(out, "{v}");
-            }
-            Value::U64(v) => {
-                let _ = write!(out, "{v}");
-            }
-            Value::I64(v) => {
-                let _ = write!(out, "{v}");
-            }
-            Value::Str(s) => push_json_str(out, s),
-            Value::Bool(b) => {
-                let _ = write!(out, "{b}");
-            }
-            Value::List(xs) => {
-                out.push('[');
-                for (i, x) in xs.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    x.push_json(out);
-                }
-                out.push(']');
-            }
-        }
-    }
-}
-
-fn push_json_object(out: &mut String, fields: &[(String, Value)]) {
-    out.push('{');
-    for (i, (k, v)) in fields.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        push_json_str(out, k);
-        out.push(':');
-        v.push_json(out);
-    }
-    out.push('}');
-}
-
 /// One experiment's machine-readable report: free-form metadata plus a list
 /// of uniform-ish rows (each row is an ordered set of `name: value` cells).
 #[derive(Debug, Clone, Default)]
 pub struct BenchReport {
     experiment: String,
-    meta: Vec<(String, Value)>,
-    rows: Vec<Vec<(String, Value)>>,
+    meta: Vec<(String, JsonValue)>,
+    rows: Vec<Vec<(String, JsonValue)>>,
     started: Option<Instant>,
     manifest: Option<RunManifest>,
 }
@@ -232,7 +100,7 @@ impl BenchReport {
 
     /// Sets a metadata field (population size, trial count, …), replacing
     /// any earlier value under the same key.
-    pub fn set_meta(&mut self, key: &str, value: impl Into<Value>) -> &mut Self {
+    pub fn set_meta(&mut self, key: &str, value: impl Into<JsonValue>) -> &mut Self {
         let value = value.into();
         if let Some(slot) = self.meta.iter_mut().find(|(k, _)| k == key) {
             slot.1 = value;
@@ -243,7 +111,7 @@ impl BenchReport {
     }
 
     /// Appends one measurement row from `(name, value)` cells.
-    pub fn push_row<K: Into<String>, V: Into<Value>>(
+    pub fn push_row<K: Into<String>, V: Into<JsonValue>>(
         &mut self,
         cells: impl IntoIterator<Item = (K, V)>,
     ) -> &mut Self {
@@ -278,9 +146,9 @@ impl BenchReport {
         let unix_time = unix_now();
         let mut out = String::with_capacity(256 + 64 * self.rows.len());
         out.push_str("{\"schema\":");
-        push_json_str(&mut out, schema);
+        write_str(&mut out, schema);
         out.push_str(",\"experiment\":");
-        push_json_str(&mut out, &self.experiment);
+        write_str(&mut out, &self.experiment);
         let _ = write!(out, ",\"unix_time\":{unix_time}");
         if let Some(m) = &self.manifest {
             out.push_str(",\"manifest\":");
@@ -290,10 +158,10 @@ impl BenchReport {
         let mut meta = self.meta.clone();
         if let Some(t0) = self.started {
             if !meta.iter().any(|(k, _)| k == "wall_s") {
-                meta.push(("wall_s".to_owned(), Value::F64(t0.elapsed().as_secs_f64())));
+                meta.push(("wall_s".to_owned(), t0.elapsed().as_secs_f64().into()));
             }
         }
-        push_json_object(&mut out, &meta);
+        write_object(&mut out, &meta);
         out.push_str(",\"rows\":[");
         for (i, row) in self.rows.iter().enumerate() {
             if i > 0 {
@@ -302,7 +170,7 @@ impl BenchReport {
             if pretty {
                 out.push_str("\n  ");
             }
-            push_json_object(&mut out, row);
+            write_object(&mut out, row);
         }
         if pretty {
             out.push_str("\n]}\n");
@@ -366,8 +234,8 @@ mod tests {
         let mut r = BenchReport::new("e0_demo");
         r.set_meta("n", 64u64);
         r.set_meta("n", 128u64); // replaces
-        r.push_row([("case", Value::from("fast")), ("ns", Value::from(12.5))]);
-        r.push_row([("case", Value::from("slow")), ("ns", Value::from(f64::NAN))]);
+        r.push_row([("case", JsonValue::from("fast")), ("ns", JsonValue::from(12.5))]);
+        r.push_row([("case", JsonValue::from("slow")), ("ns", JsonValue::from(f64::NAN))]);
         let json = r.to_json();
         assert!(json.starts_with("{\"schema\":\"pp-bench/v1\",\"experiment\":\"e0_demo\""));
         assert!(json.contains("\"n\":128"));
@@ -400,7 +268,7 @@ mod tests {
         let mut r = BenchReport::new("e0_hist");
         r.set_meta("wall_s", 1.0); // suppress the nondeterministic auto stamp
         r.set_manifest(RunManifest::default().with_protocol("majority").with_master_seed(7));
-        r.push_row([("case", Value::from("a")), ("ns_per_step", Value::from(2.5))]);
+        r.push_row([("case", JsonValue::from("a")), ("ns_per_step", JsonValue::from(2.5))]);
         let line = r.to_history_line();
         std::env::remove_var("PP_BENCH_FAKE_TIME");
         assert!(!line.contains('\n'), "history record must be one line: {line}");
@@ -422,25 +290,5 @@ mod tests {
         // Reports without a manifest omit the key entirely.
         let json = BenchReport::new("e0_bare").to_json();
         assert!(!json.contains("\"manifest\""), "{json}");
-    }
-
-    #[test]
-    fn strings_are_escaped() {
-        let mut out = String::new();
-        push_json_str(&mut out, "a\"b\\c\nd\u{1}");
-        assert_eq!(out, "\"a\\\"b\\\\c\\nd\\u0001\"");
-    }
-
-    #[test]
-    fn lists_and_ints_serialize() {
-        let mut out = String::new();
-        Value::from(vec![1u64, 2, 3]).push_json(&mut out);
-        assert_eq!(out, "[1,2,3]");
-        let mut out = String::new();
-        Value::from(-5i64).push_json(&mut out);
-        assert_eq!(out, "-5");
-        let mut out = String::new();
-        Value::from(true).push_json(&mut out);
-        assert_eq!(out, "true");
     }
 }

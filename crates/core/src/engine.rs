@@ -917,7 +917,6 @@ impl<P: Protocol, Pr: Probe, Tr: Tracer> Simulation<P, Pr, Tr> {
     /// interactions ≈ one time unit; a round matches each agent once) — a
     /// modelling notion, not thread-level parallelism. For running many
     /// independent trials across OS threads see [`crate::ensemble`].
-    #[doc(alias = "measure_stabilization_parallel")]
     pub fn measure_stabilization_rounds(
         &mut self,
         expected: &P::Output,
@@ -936,23 +935,6 @@ impl<P: Protocol, Pr: Probe, Tr: Tracer> Simulation<P, Pr, Tr> {
             }
         }
         consensus_reached(wrong, last_wrong, 0)
-    }
-
-    /// Deprecated name of
-    /// [`measure_stabilization_rounds`](Self::measure_stabilization_rounds).
-    #[deprecated(
-        since = "0.1.0",
-        note = "renamed to `measure_stabilization_rounds`: \"parallel\" meant the \
-                paper's parallel-time rounds (§3.2), not thread-level parallelism \
-                (for that, see `pp_core::ensemble`)"
-    )]
-    pub fn measure_stabilization_parallel(
-        &mut self,
-        expected: &P::Output,
-        max_rounds: u64,
-        rng: &mut impl Rng,
-    ) -> Option<u64> {
-        self.measure_stabilization_rounds(expected, max_rounds, rng)
     }
 }
 

@@ -69,6 +69,7 @@ use rand::SeedableRng;
 
 use crate::engine::{AgentSimulation, Simulation};
 use crate::faults::{FaultPlan, FaultRunReport};
+use crate::json::json_f64;
 use crate::observe::MergeProbe;
 use crate::protocol::Protocol;
 use crate::scheduler::PairSampler;
@@ -922,16 +923,6 @@ impl EnsembleReport {
         }
         s.push_str("]}");
         s
-    }
-}
-
-/// Full-precision JSON float (same convention as `pp-bench`): shortest
-/// round-trip representation, `null` for non-finite values.
-pub(crate) fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
     }
 }
 

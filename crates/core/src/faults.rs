@@ -78,7 +78,8 @@
 use rand::{Rng, RngCore};
 
 use crate::engine::{consensus_reached, AgentSimulation, Simulation};
-use crate::ensemble::{json_f64, LogHistogram, Welford};
+use crate::ensemble::{LogHistogram, Welford};
+use crate::json::json_f64;
 use crate::observe::Probe;
 use crate::protocol::Protocol;
 use crate::scheduler::PairSampler;

@@ -75,6 +75,7 @@ pub mod ensemble;
 pub mod error;
 pub mod faults;
 pub mod fxhash;
+pub mod json;
 pub mod observe;
 pub mod protocol;
 pub mod registry;
@@ -104,7 +105,7 @@ pub mod prelude {
     };
     pub use crate::observe::{
         BatchEvent, BatchPair, ConvergenceProbe, InteractionEvent, JsonlSink, MergeProbe,
-        MetricsProbe, NoProbe, OccupancyFieldProbe, Probe, Snapshot, TimingProbe,
+        MetricsProbe, NoProbe, OccupancyFieldProbe, Probe, Snapshot,
         TrajectoryProbe,
     };
     pub use crate::protocol::{CoinProtocol, FnProtocol, Protocol, SyntheticCoins};
@@ -139,7 +140,7 @@ pub use faults::{
 };
 pub use observe::{
     BatchEvent, BatchPair, ConvergenceProbe, InteractionEvent, JsonlSink, MergeProbe,
-    MetricsProbe, NoProbe, OccupancyFieldProbe, Probe, Snapshot, TimingProbe,
+    MetricsProbe, NoProbe, OccupancyFieldProbe, Probe, Snapshot,
     TrajectoryProbe,
 };
 pub use protocol::{CoinProtocol, FnProtocol, Protocol, SyntheticCoins};

@@ -31,7 +31,6 @@
 //!   form of the retrospective logic in
 //!   [`measure_stabilization`](crate::Simulation::measure_stabilization);
 //! * [`JsonlSink`] — streams events to JSON Lines for offline analysis;
-//! * [`TimingProbe`] — self-timed wall-clock profiling (ns/interaction);
 //! * [`OccupancyFieldProbe`] — spatial occupancy/entropy field over agent
 //!   trajectories (pull-based: the interaction stream is anonymous, so the
 //!   agent engine snapshots its state column into the field instead).
@@ -64,7 +63,6 @@
 //! ```
 
 use std::io::{self, Write};
-use std::time::{Duration, Instant};
 
 use crate::fxhash::FxHashMap;
 use crate::registry::{OutputId, StateId};
@@ -958,85 +956,6 @@ impl<W: Write> Probe for JsonlSink<W> {
 }
 
 // ---------------------------------------------------------------------------
-// TimingProbe
-// ---------------------------------------------------------------------------
-
-/// Self-timed wall-clock profiling: the workspace dropped external
-/// benchmarking harnesses (offline build), so ns-per-interaction
-/// measurement lives here.
-///
-/// The clock starts at attachment; [`lap`](Self::lap) closes a timing
-/// window and returns `(interactions, elapsed)` for it, so a bench can
-/// time phases without re-attaching.
-#[derive(Debug, Clone)]
-pub struct TimingProbe {
-    started: Option<Instant>,
-    lap_start_interactions: u64,
-    interactions: u64,
-    effective: u64,
-}
-
-impl Default for TimingProbe {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl TimingProbe {
-    /// A fresh timing probe; the clock starts when it is attached.
-    pub fn new() -> Self {
-        Self { started: None, lap_start_interactions: 0, interactions: 0, effective: 0 }
-    }
-
-    /// Interactions observed since attachment.
-    pub fn interactions(&self) -> u64 {
-        self.interactions
-    }
-
-    /// Effective (state-changing) interactions observed.
-    pub fn effective_interactions(&self) -> u64 {
-        self.effective
-    }
-
-    /// Wall-clock elapsed since attachment (zero if never attached).
-    pub fn elapsed(&self) -> Duration {
-        self.started.map_or(Duration::ZERO, |s| s.elapsed())
-    }
-
-    /// Mean nanoseconds per observed interaction (NaN before attachment).
-    pub fn ns_per_interaction(&self) -> f64 {
-        if self.interactions == 0 {
-            return f64::NAN;
-        }
-        self.elapsed().as_nanos() as f64 / self.interactions as f64
-    }
-
-    /// Closes the current timing window: returns `(interactions, elapsed)`
-    /// since the last lap (or attachment) and restarts the window clock.
-    pub fn lap(&mut self) -> (u64, Duration) {
-        let elapsed = self.elapsed();
-        let n = self.interactions - self.lap_start_interactions;
-        self.started = Some(Instant::now());
-        self.lap_start_interactions = self.interactions;
-        (n, elapsed)
-    }
-}
-
-impl Probe for TimingProbe {
-    fn on_attach(&mut self, _snap: &Snapshot<'_>) {
-        self.started = Some(Instant::now());
-        self.lap_start_interactions = self.interactions;
-    }
-
-    fn on_interaction(&mut self, ev: &InteractionEvent) {
-        self.interactions += ev.noops_skipped + 1;
-        if ev.effective {
-            self.effective += 1;
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // OccupancyFieldProbe
 // ---------------------------------------------------------------------------
 
@@ -1514,22 +1433,5 @@ mod tests {
         }
         assert_eq!(m.interactions(), 3);
         assert_eq!(m.effective_interactions(), 0);
-    }
-
-    #[test]
-    fn timing_probe_laps() {
-        let mut t = TimingProbe::new();
-        t.on_attach(&Snapshot { step: 0, occupancy: &[2], outputs: &[2] });
-        t.on_interaction(&ev(1, (0, 0), (0, 0), (0, 0), (0, 0)));
-        let mut e2 = ev(5, (0, 0), (0, 0), (0, 0), (0, 0));
-        e2.noops_skipped = 3;
-        t.on_interaction(&e2);
-        assert_eq!(t.interactions(), 5);
-        let (n, d) = t.lap();
-        assert_eq!(n, 5);
-        assert!(d >= Duration::ZERO);
-        let (n, _) = t.lap();
-        assert_eq!(n, 0);
-        assert!(t.ns_per_interaction().is_finite());
     }
 }

@@ -27,7 +27,7 @@
 //! count, the same guarantee the ensemble executor already gives.
 //!
 //! This module owns the pieces that only need `pp-core`: the spec and
-//! report types, a dependency-free JSON codec, and the dispatchers
+//! report types (read and written with [`crate::json`]), and the dispatchers
 //! [`run_counts`] (count engine: sequential/batched, single/ensemble,
 //! faulted or not) and [`run_agents`] (agent engine on an arbitrary
 //! scheduler). Resolution of protocol *references* (registry names,
@@ -50,294 +50,8 @@ use crate::faults::{
 use crate::protocol::Protocol;
 use crate::scheduler::PairSampler;
 
-// ---------------------------------------------------------------------------
-// A minimal JSON value (parser + deterministic writer)
-// ---------------------------------------------------------------------------
-
-/// A parsed JSON value. Objects preserve insertion order (ordering is
-/// semantic for [`RunSpec::population`] and keeps renderings canonical).
-#[derive(Debug, Clone, PartialEq)]
-pub enum JsonValue {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// Any JSON number (stored as `f64`; u64 counts round-trip exactly up
-    /// to 2⁵³, far beyond any population this crate materializes).
-    Num(f64),
-    /// A string.
-    Str(String),
-    /// An array.
-    Arr(Vec<JsonValue>),
-    /// An object, in insertion order.
-    Obj(Vec<(String, JsonValue)>),
-}
-
-impl JsonValue {
-    /// Object field lookup (first match).
-    pub fn get(&self, key: &str) -> Option<&JsonValue> {
-        match self {
-            JsonValue::Obj(fields) => {
-                fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-            }
-            _ => None,
-        }
-    }
-
-    /// The value as a string, if it is one.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            JsonValue::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The value as a float, if it is a number.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            JsonValue::Num(x) => Some(*x),
-            _ => None,
-        }
-    }
-
-    /// The value as a non-negative integer, if it is one exactly.
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            JsonValue::Num(x) if *x >= 0.0 && x.fract() == 0.0 && *x <= 2f64.powi(53) => {
-                Some(*x as u64)
-            }
-            _ => None,
-        }
-    }
-
-    /// Deterministic rendering: fields in stored order, shortest
-    /// round-trip floats, no whitespace.
-    pub fn render(&self) -> String {
-        let mut s = String::new();
-        self.write(&mut s);
-        s
-    }
-
-    fn write(&self, out: &mut String) {
-        match self {
-            JsonValue::Null => out.push_str("null"),
-            JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            JsonValue::Num(x) => {
-                if x.is_finite() {
-                    out.push_str(&format!("{x}"));
-                } else {
-                    out.push_str("null");
-                }
-            }
-            JsonValue::Str(s) => write_json_string(s, out),
-            JsonValue::Arr(xs) => {
-                out.push('[');
-                for (i, x) in xs.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    x.write(out);
-                }
-                out.push(']');
-            }
-            JsonValue::Obj(fields) => {
-                out.push('{');
-                for (i, (k, v)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    write_json_string(k, out);
-                    out.push(':');
-                    v.write(out);
-                }
-                out.push('}');
-            }
-        }
-    }
-}
-
-fn write_json_string(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-/// Parses a JSON document (strict: one value, nothing but whitespace
-/// after it).
-///
-/// # Errors
-///
-/// Returns [`SpecError::Parse`] with a byte offset and a short reason.
-pub fn parse_json(text: &str) -> Result<JsonValue, SpecError> {
-    let bytes = text.as_bytes();
-    let mut pos = 0usize;
-    let v = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(SpecError::parse(pos, "trailing characters after JSON value"));
-    }
-    Ok(v)
-}
-
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<JsonValue, SpecError> {
-    skip_ws(b, pos);
-    match b.get(*pos) {
-        None => Err(SpecError::parse(*pos, "unexpected end of input")),
-        Some(b'{') => {
-            *pos += 1;
-            let mut fields = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(JsonValue::Obj(fields));
-            }
-            loop {
-                skip_ws(b, pos);
-                let key = match parse_value(b, pos)? {
-                    JsonValue::Str(s) => s,
-                    _ => return Err(SpecError::parse(*pos, "object key must be a string")),
-                };
-                skip_ws(b, pos);
-                if b.get(*pos) != Some(&b':') {
-                    return Err(SpecError::parse(*pos, "expected ':' after object key"));
-                }
-                *pos += 1;
-                let val = parse_value(b, pos)?;
-                fields.push((key, val));
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(JsonValue::Obj(fields));
-                    }
-                    _ => return Err(SpecError::parse(*pos, "expected ',' or '}' in object")),
-                }
-            }
-        }
-        Some(b'[') => {
-            *pos += 1;
-            let mut xs = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(JsonValue::Arr(xs));
-            }
-            loop {
-                xs.push(parse_value(b, pos)?);
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(JsonValue::Arr(xs));
-                    }
-                    _ => return Err(SpecError::parse(*pos, "expected ',' or ']' in array")),
-                }
-            }
-        }
-        Some(b'"') => {
-            *pos += 1;
-            let mut s = String::new();
-            loop {
-                match b.get(*pos) {
-                    None => return Err(SpecError::parse(*pos, "unterminated string")),
-                    Some(b'"') => {
-                        *pos += 1;
-                        return Ok(JsonValue::Str(s));
-                    }
-                    Some(b'\\') => {
-                        *pos += 1;
-                        match b.get(*pos) {
-                            Some(b'"') => s.push('"'),
-                            Some(b'\\') => s.push('\\'),
-                            Some(b'/') => s.push('/'),
-                            Some(b'n') => s.push('\n'),
-                            Some(b't') => s.push('\t'),
-                            Some(b'r') => s.push('\r'),
-                            Some(b'b') => s.push('\u{0008}'),
-                            Some(b'f') => s.push('\u{000c}'),
-                            Some(b'u') => {
-                                let hex = b
-                                    .get(*pos + 1..*pos + 5)
-                                    .ok_or_else(|| SpecError::parse(*pos, "bad \\u escape"))?;
-                                let hex = std::str::from_utf8(hex)
-                                    .map_err(|_| SpecError::parse(*pos, "bad \\u escape"))?;
-                                let cp = u32::from_str_radix(hex, 16)
-                                    .map_err(|_| SpecError::parse(*pos, "bad \\u escape"))?;
-                                // Surrogates are replaced, not rejected: specs
-                                // never contain them, and lossy beats panicky.
-                                s.push(char::from_u32(cp).unwrap_or('\u{fffd}'));
-                                *pos += 4;
-                            }
-                            _ => return Err(SpecError::parse(*pos, "bad escape")),
-                        }
-                        *pos += 1;
-                    }
-                    Some(&c) => {
-                        // Multi-byte UTF-8 is copied through verbatim.
-                        let start = *pos;
-                        let mut end = *pos + 1;
-                        if c >= 0x80 {
-                            while end < b.len() && b[end] & 0xc0 == 0x80 {
-                                end += 1;
-                            }
-                        }
-                        let chunk = std::str::from_utf8(&b[start..end])
-                            .map_err(|_| SpecError::parse(*pos, "invalid UTF-8"))?;
-                        s.push_str(chunk);
-                        *pos = end;
-                    }
-                }
-            }
-        }
-        Some(b't') => parse_lit(b, pos, "true", JsonValue::Bool(true)),
-        Some(b'f') => parse_lit(b, pos, "false", JsonValue::Bool(false)),
-        Some(b'n') => parse_lit(b, pos, "null", JsonValue::Null),
-        Some(_) => {
-            let start = *pos;
-            while *pos < b.len()
-                && matches!(b[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-            {
-                *pos += 1;
-            }
-            let text = std::str::from_utf8(&b[start..*pos]).expect("ascii");
-            text.parse::<f64>()
-                .map(JsonValue::Num)
-                .map_err(|_| SpecError::parse(start, "invalid number"))
-        }
-    }
-}
-
-fn parse_lit(
-    b: &[u8],
-    pos: &mut usize,
-    lit: &str,
-    v: JsonValue,
-) -> Result<JsonValue, SpecError> {
-    if b.len() >= *pos + lit.len() && &b[*pos..*pos + lit.len()] == lit.as_bytes() {
-        *pos += lit.len();
-        Ok(v)
-    } else {
-        Err(SpecError::parse(*pos, "invalid literal"))
-    }
-}
+pub use crate::json::{parse_json, JsonValue};
+use crate::json::{write_str, JsonError};
 
 // ---------------------------------------------------------------------------
 // Errors
@@ -349,12 +63,7 @@ fn parse_lit(
 #[derive(Debug, Clone, PartialEq)]
 pub enum SpecError {
     /// The request body is not valid JSON.
-    Parse {
-        /// Byte offset of the failure.
-        offset: usize,
-        /// Short reason.
-        detail: String,
-    },
+    Parse(JsonError),
     /// A required field is missing.
     MissingField(&'static str),
     /// A field holds a value of the wrong shape.
@@ -393,14 +102,10 @@ pub enum SpecError {
 }
 
 impl SpecError {
-    fn parse(offset: usize, detail: &str) -> Self {
-        SpecError::Parse { offset, detail: detail.to_string() }
-    }
-
     /// Stable machine-readable code (the `code` field of `pp-error/v1`).
     pub fn code(&self) -> &'static str {
         match self {
-            SpecError::Parse { .. } => "parse_error",
+            SpecError::Parse(_) => "parse_error",
             SpecError::MissingField(_) => "missing_field",
             SpecError::BadField { .. } => "bad_field",
             SpecError::UnknownField(_) => "unknown_field",
@@ -425,27 +130,29 @@ impl SpecError {
 
     /// The `pp-error/v1` JSON body.
     pub fn to_json(&self) -> String {
-        let mut obj = vec![
-            ("schema".to_string(), JsonValue::Str("pp-error/v1".to_string())),
-            ("code".to_string(), JsonValue::Str(self.code().to_string())),
-            ("error".to_string(), JsonValue::Str(self.to_string())),
-        ];
+        let mut obj = error_fields(self.code(), &self.to_string());
         if let SpecError::UnknownSymbol { known, .. } = self {
-            obj.push((
-                "known_symbols".to_string(),
-                JsonValue::Arr(known.iter().map(|s| JsonValue::Str(s.clone())).collect()),
-            ));
+            obj.push(("known_symbols".to_string(), known.clone().into()));
         }
         JsonValue::Obj(obj).render()
     }
 }
 
+/// The `{"schema":"pp-error/v1","code","error"}` fields every error body
+/// starts with: `pp-server`'s transport errors render exactly these, and
+/// [`SpecError::to_json`] may append more.
+pub fn error_fields(code: &str, error: &str) -> Vec<(String, JsonValue)> {
+    vec![
+        ("schema".to_string(), "pp-error/v1".into()),
+        ("code".to_string(), code.into()),
+        ("error".to_string(), error.into()),
+    ]
+}
+
 impl fmt::Display for SpecError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SpecError::Parse { offset, detail } => {
-                write!(f, "invalid JSON at byte {offset}: {detail}")
-            }
+            SpecError::Parse(e) => write!(f, "{e}"),
             SpecError::MissingField(name) => write!(f, "missing field {name:?}"),
             SpecError::BadField { field, detail } => {
                 write!(f, "bad value for {field:?}: {detail}")
@@ -469,6 +176,12 @@ impl fmt::Display for SpecError {
 }
 
 impl std::error::Error for SpecError {}
+
+impl From<JsonError> for SpecError {
+    fn from(e: JsonError) -> Self {
+        SpecError::Parse(e)
+    }
+}
 
 // ---------------------------------------------------------------------------
 // The spec
@@ -1311,9 +1024,7 @@ impl RunReport {
         let mut s = String::new();
         s.push_str("{\"schema\":\"pp-run/v1\"");
         s.push_str(",\"protocol\":");
-        let mut key = String::new();
-        write_json_string(&self.protocol_key, &mut key);
-        s.push_str(&key);
+        write_str(&mut s, &self.protocol_key);
         s.push_str(&format!(",\"engine\":\"{}\"", self.engine.name()));
         s.push_str(",\"symbols\":");
         s.push_str(
@@ -1358,7 +1069,7 @@ impl RunReport {
                     if i > 0 {
                         s.push(',');
                     }
-                    write_json_string(o, &mut s);
+                    write_str(&mut s, o);
                     s.push_str(&format!(":{c}"));
                 }
                 s.push_str("}}");
@@ -1380,22 +1091,20 @@ impl RunReport {
             }
             RunOutcome::External { kind, body } => {
                 s.push_str("{\"kind\":");
-                let mut k = String::new();
-                write_json_string(kind, &mut k);
-                s.push_str(&k);
+                write_str(&mut s, kind);
                 if let JsonValue::Obj(fields) = body {
                     for (name, v) in fields {
                         s.push(',');
-                        write_json_string(name, &mut s);
+                        write_str(&mut s, name);
                         s.push(':');
-                        s.push_str(&v.render());
+                        v.write(&mut s);
                     }
                 }
                 s.push('}');
             }
         }
         s.push_str(",\"spec\":");
-        s.push_str(&self.spec.render());
+        self.spec.write(&mut s);
         s.push('}');
         s
     }
@@ -1723,28 +1432,6 @@ mod tests {
             "threads": 2,
             "horizon": 1000
         }"#
-    }
-
-    #[test]
-    fn json_round_trip() {
-        let v = parse_json(
-            r#"{"a":[1,2.5,null,true,"x\n\"y"],"b":{"c":-3e2},"d":{}}"#,
-        )
-        .unwrap();
-        let rendered = v.render();
-        let v2 = parse_json(&rendered).unwrap();
-        assert_eq!(v, v2);
-        assert_eq!(v.get("b").unwrap().get("c").unwrap().as_f64(), Some(-300.0));
-    }
-
-    #[test]
-    fn json_rejects_garbage() {
-        assert!(parse_json("").is_err());
-        assert!(parse_json("{").is_err());
-        assert!(parse_json("{\"a\":}").is_err());
-        assert!(parse_json("[1,]").is_err());
-        assert!(parse_json("{} extra").is_err());
-        assert!(parse_json("{'a':1}").is_err());
     }
 
     #[test]

@@ -64,6 +64,7 @@
 use std::time::Instant;
 
 use crate::ensemble::{LogHistogram, Welford};
+use crate::json::{json_f64, write_str};
 
 // ---------------------------------------------------------------------------
 // Span kinds
@@ -368,7 +369,7 @@ fn push_field_str(out: &mut String, key: &str, v: Option<&str>) {
     out.push_str(key);
     out.push_str("\":");
     match v {
-        Some(s) => push_json_string(out, s),
+        Some(s) => write_str(out, s),
         None => out.push_str("null"),
     }
 }
@@ -381,23 +382,6 @@ fn push_field_u64(out: &mut String, key: &str, v: Option<u64>) {
         Some(n) => out.push_str(&n.to_string()),
         None => out.push_str("null"),
     }
-}
-
-/// Minimal JSON string escaping (same escapes as `pp-bench`'s writer).
-fn push_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 // ---------------------------------------------------------------------------
@@ -596,16 +580,6 @@ impl SpanStats {
         }
         s.push_str("]}");
         s
-    }
-}
-
-/// Shortest round-trip float, `null` when non-finite (the workspace JSON
-/// convention).
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_owned()
     }
 }
 

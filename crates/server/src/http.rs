@@ -23,14 +23,14 @@
 //! are byte-reproducible.
 
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use pp_core::spec::{RunSpec, SpecError};
+use pp_core::spec::{error_fields, JsonValue, RunSpec, SpecError};
 
 use crate::api::{self, CompiledCache, ExecOptions};
 use crate::registry;
@@ -261,22 +261,36 @@ fn find_header_end(buf: &[u8]) -> Option<usize> {
     buf.windows(4).position(|w| w == b"\r\n\r\n")
 }
 
-/// A minimal `pp-error/v1` body for transport-level failures (spec-level
-/// failures use [`SpecError::to_json`]).
-fn err_body(code: &str, detail: &str) -> String {
-    let mut out = String::from("{\"schema\":\"pp-error/v1\",\"code\":\"");
-    out.push_str(code);
-    out.push_str("\",\"detail\":\"");
-    for c in detail.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+/// The `pp-error/v1` body for transport-level failures (spec-level
+/// failures use [`SpecError::to_json`]; both share [`error_fields`]).
+fn err_body(code: &str, error: &str) -> String {
+    JsonValue::Obj(error_fields(code, error)).render()
+}
+
+/// Closes a connection whose request body may still be in flight.
+///
+/// Closing a socket with unread bytes queued makes the kernel answer with
+/// an RST, which can destroy the error response before the client reads
+/// it. So half-close the write side (the response is complete), then
+/// drain what the client is still sending, bounded by a byte cap and a
+/// short deadline, before the socket drops.
+fn drain_and_close(mut stream: TcpStream) {
+    const DRAIN_CAP: usize = 4 << 20;
+    const DRAIN_TIME: Duration = Duration::from_secs(1);
+    let _ = stream.shutdown(Shutdown::Write);
+    let deadline = Instant::now() + DRAIN_TIME;
+    let mut chunk = [0u8; 8192];
+    let mut drained = 0usize;
+    while drained < DRAIN_CAP {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
+            break;
+        }
+        match stream.read(&mut chunk) {
+            Ok(0) | Err(_) => break,
+            Ok(n) => drained += n,
         }
     }
-    out.push_str("\"}");
-    out
 }
 
 fn handle_connection(mut stream: TcpStream, cache: &Arc<CompiledCache>, cfg: &ServerConfig) {
@@ -284,6 +298,7 @@ fn handle_connection(mut stream: TcpStream, cache: &Arc<CompiledCache>, cfg: &Se
         Ok(r) => r,
         Err(Some(resp)) => {
             write_response(&mut stream, &resp);
+            drain_and_close(stream);
             return;
         }
         Err(None) => return,
@@ -310,26 +325,15 @@ fn route(req: &Request, cache: &Arc<CompiledCache>, cfg: &ServerConfig) -> Respo
 }
 
 fn protocols_body() -> String {
-    let mut s = String::from("{\"schema\":\"pp-protocols/v1\",\"protocols\":[");
-    for (i, name) in registry::names().iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push('"');
-        s.push_str(name);
-        s.push('"');
-    }
-    s.push_str("],\"backends\":[");
-    for (i, b) in pp_presburger::backends().iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push('"');
-        s.push_str(b);
-        s.push('"');
-    }
-    s.push_str("]}");
-    s
+    JsonValue::Obj(vec![
+        ("schema".to_string(), "pp-protocols/v1".into()),
+        ("protocols".to_string(), registry::names().to_vec().into()),
+        (
+            "backends".to_string(),
+            pp_presburger::backends().to_vec().into(),
+        ),
+    ])
+    .render()
 }
 
 fn run_route(

@@ -2,8 +2,9 @@
 # Golden-request gate for the pp-server HTTP service.
 #
 # Boots a release pp-server on loopback, fires the scripted request set —
-# a named-protocol run, a formula compile-and-run, a fault ensemble, and
-# a mean-field query — and diffs each response body byte-for-byte against
+# a named-protocol run, a formula compile-and-run, a fault ensemble, a
+# mean-field query, and two error requests (an unknown route and a body
+# nested too deep) — and diffs each response body byte-for-byte against
 # the checked-in goldens in tests/goldens/server/. Because reports carry
 # no wall-clock fields and every request is seeded, the bodies are stable
 # across machines, thread counts, and restarts; any diff is a real
@@ -72,11 +73,11 @@ REQUESTS[mean_field]='{
 
 mkdir -p "$GOLDEN_DIR"
 status=0
-for name in protocol_run formula_run fault_ensemble mean_field; do
-    got=$(curl -sf -X POST "$BASE/v1/run" \
-        -H 'Content-Type: application/json' \
-        -d "${REQUESTS[$name]}")
-    golden="$GOLDEN_DIR/$name.json"
+# check_golden NAME BODY: diff BODY against $GOLDEN_DIR/NAME.json (or
+# rewrite it under PP_UPDATE_GOLDENS=1).
+check_golden() {
+    local name=$1 got=$2
+    local golden="$GOLDEN_DIR/$name.json"
     if [ "${PP_UPDATE_GOLDENS:-0}" = "1" ]; then
         printf '%s' "$got" > "$golden"
         echo "updated $golden"
@@ -90,7 +91,36 @@ for name in protocol_run formula_run fault_ensemble mean_field; do
         printf '%s' "$got" | diff -u "$golden" - >&2 || true
         status=1
     fi
+}
+
+for name in protocol_run formula_run fault_ensemble mean_field; do
+    got=$(curl -sf -X POST "$BASE/v1/run" \
+        -H 'Content-Type: application/json' \
+        -d "${REQUESTS[$name]}")
+    check_golden "$name" "$got"
 done
+
+# The error wire format: fetched with -s rather than -f so the 4xx body
+# comes back; the status is asserted and the body diffed like any golden.
+# check_error NAME WANT_STATUS CURL_ARGS...
+check_error() {
+    local name=$1 want=$2
+    shift 2
+    local resp code
+    resp=$(curl -s -w '\n%{http_code}' "$@")
+    code=${resp##*$'\n'}
+    if [ "$code" != "$want" ]; then
+        echo "STATUS in $name: got $code, want $want" >&2
+        status=1
+    fi
+    check_golden "$name" "${resp%$'\n'*}"
+}
+
+check_error error_not_found 404 "$BASE/v1/nope"
+# 10 000 nested '[': deeper than the codec's nesting limit.
+bomb=$(head -c 10000 /dev/zero | tr '\0' '[')
+check_error error_depth_bomb 400 -X POST "$BASE/v1/run" \
+    -H 'Content-Type: application/json' --data-binary "$bomb"
 
 # A second pass over the same set must hit the compile cache without
 # moving a byte — replay the formula request and re-diff.

@@ -1,0 +1,74 @@
+//! Hostile input against the JSON codec and the `pp-server` front end.
+//!
+//! The parser recurses once per nesting level, and `pp-server` parses
+//! request bodies on worker threads. A body of deeply nested `[` that
+//! overflowed a worker stack would abort the whole process (a stack
+//! overflow cannot be caught), so this file boots a real server and sends
+//! one. It also pins the codec's writer to the checked-in wire format:
+//! every server golden and bench history record re-renders to its exact
+//! bytes.
+
+use std::path::Path;
+
+use population_protocols::core::json::{parse_json, MAX_DEPTH};
+use population_protocols::server::{client, serve, ServerConfig};
+
+fn repo_file(rel: &str) -> String {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join(rel);
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()))
+}
+
+#[test]
+fn nested_bracket_bomb_is_a_parse_error_not_a_crash() {
+    let s = serve(
+        "127.0.0.1:0",
+        ServerConfig {
+            threads: 1,
+            ..ServerConfig::default()
+        },
+    )
+    .expect("bind loopback");
+    let bomb = "[".repeat(10_000);
+    let resp = client::post(s.addr(), "/v1/run", &bomb).unwrap();
+    assert_eq!(resp.status, 400, "{}", resp.text());
+    assert_eq!(
+        resp.text(),
+        format!(
+            "{{\"schema\":\"pp-error/v1\",\"code\":\"parse_error\",\
+             \"error\":\"invalid JSON at byte {MAX_DEPTH}: nesting deeper than 64 levels\"}}"
+        )
+    );
+    // The single worker survived and still answers.
+    let health = client::get(s.addr(), "/healthz").unwrap();
+    assert_eq!(health.status, 200);
+    s.shutdown();
+}
+
+#[test]
+fn codec_re_renders_server_goldens_byte_for_byte() {
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/goldens/server");
+    let mut names: Vec<String> = std::fs::read_dir(&dir)
+        .expect("goldens dir")
+        .filter_map(|e| e.ok()?.file_name().into_string().ok())
+        .filter(|n| n.ends_with(".json"))
+        .collect();
+    names.sort();
+    assert!(names.len() >= 4, "goldens missing: {names:?}");
+    for name in names {
+        let text = repo_file(&format!("tests/goldens/server/{name}"));
+        let v = parse_json(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(v.render(), text, "{name} does not round-trip");
+    }
+}
+
+#[test]
+fn codec_re_renders_bench_history_byte_for_byte() {
+    let text = repo_file("BENCH_HISTORY.jsonl");
+    let mut lines = 0;
+    for (i, line) in text.lines().enumerate() {
+        let v = parse_json(line).unwrap_or_else(|e| panic!("line {}: {e}", i + 1));
+        assert_eq!(v.render(), line, "line {} does not round-trip", i + 1);
+        lines += 1;
+    }
+    assert!(lines >= 4, "history has {lines} lines");
+}
