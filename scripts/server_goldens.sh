@@ -3,8 +3,10 @@
 #
 # Boots a release pp-server on loopback, fires the scripted request set —
 # a named-protocol run, a formula compile-and-run, a fault ensemble, a
-# mean-field query, and two error requests (an unknown route and a body
-# nested too deep) — and diffs each response body byte-for-byte against
+# mean-field query, single-trial consensus and fixed-step runs, a
+# consensus ensemble, an agents-engine ensemble, one JSONL stream, and two
+# error requests (an unknown route and a body nested too deep) — and
+# diffs each response body byte-for-byte against
 # the checked-in goldens in tests/goldens/server/. Because reports carry
 # no wall-clock fields and every request is seeded, the bodies are stable
 # across machines, thread counts, and restarts; any diff is a real
@@ -70,14 +72,55 @@ REQUESTS[mean_field]='{
     "engine": "mean-field",
     "mean_field": {"horizon": 50.0}
 }'
+REQUESTS[single_consensus]='{
+    "protocol": {"name": "majority"},
+    "population": {"1": 6, "0": 4},
+    "seed": 3,
+    "horizon": 30000,
+    "stop": "consensus"
+}'
+REQUESTS[single_fixed]='{
+    "protocol": {"name": "approximate-majority"},
+    "population": {"1": 60, "0": 40},
+    "seed": 5,
+    "engine": "batched",
+    "horizon": 2000,
+    "stop": "fixed"
+}'
+REQUESTS[consensus_ensemble]='{
+    "protocol": {"name": "majority"},
+    "population": {"1": 6, "0": 4},
+    "seed": 13,
+    "trials": 4,
+    "horizon": 30000,
+    "stop": "consensus"
+}'
+REQUESTS[agents_ensemble]='{
+    "protocol": {"name": "approximate-majority"},
+    "population": {"1": 40, "0": 24},
+    "seed": 17,
+    "engine": "agents",
+    "topology": {"kind": "torus2d", "w": 8, "h": 8},
+    "trials": 2,
+    "horizon": 2000000
+}'
+# The stream golden is the whole JSONL body: thinned probe events, the
+# sink's summary line, and the final pp-run/v1 report line.
+REQUESTS[stream_parity]='{
+    "protocol": {"name": "majority"},
+    "population": {"1": 6, "0": 4},
+    "seed": 7,
+    "horizon": 2000,
+    "probe": {"kind": "jsonl", "stride": 25}
+}'
 
 mkdir -p "$GOLDEN_DIR"
 status=0
-# check_golden NAME BODY: diff BODY against $GOLDEN_DIR/NAME.json (or
-# rewrite it under PP_UPDATE_GOLDENS=1).
-check_golden() {
-    local name=$1 got=$2
-    local golden="$GOLDEN_DIR/$name.json"
+# diff_golden FILE BODY: diff BODY against $GOLDEN_DIR/FILE (or rewrite
+# it under PP_UPDATE_GOLDENS=1).
+diff_golden() {
+    local file=$1 got=$2
+    local golden="$GOLDEN_DIR/$file"
     if [ "${PP_UPDATE_GOLDENS:-0}" = "1" ]; then
         printf '%s' "$got" > "$golden"
         echo "updated $golden"
@@ -85,20 +128,30 @@ check_golden() {
         echo "MISSING golden $golden (run with PP_UPDATE_GOLDENS=1)" >&2
         status=1
     elif printf '%s' "$got" | diff -u "$golden" - >/dev/null; then
-        echo "ok $name"
+        echo "ok ${file%.*}"
     else
-        echo "DIFF in $name:" >&2
+        echo "DIFF in ${file%.*}:" >&2
         printf '%s' "$got" | diff -u "$golden" - >&2 || true
         status=1
     fi
 }
 
-for name in protocol_run formula_run fault_ensemble mean_field; do
-    got=$(curl -sf -X POST "$BASE/v1/run" \
+# check_golden NAME ROUTE: POST REQUESTS[NAME] to ROUTE and diff the body.
+# /v1/stream bodies are JSON Lines, so their goldens end in .jsonl.
+check_golden() {
+    local name=$1 route=$2 ext=json got
+    [ "$route" = /v1/stream ] && ext=jsonl
+    got=$(curl -sf -X POST "$BASE$route" \
         -H 'Content-Type: application/json' \
         -d "${REQUESTS[$name]}")
-    check_golden "$name" "$got"
+    diff_golden "$name.$ext" "$got"
+}
+
+for name in protocol_run formula_run fault_ensemble mean_field \
+    single_consensus single_fixed consensus_ensemble agents_ensemble; do
+    check_golden "$name" /v1/run
 done
+check_golden stream_parity /v1/stream
 
 # The error wire format: fetched with -s rather than -f so the 4xx body
 # comes back; the status is asserted and the body diffed like any golden.
@@ -113,7 +166,7 @@ check_error() {
         echo "STATUS in $name: got $code, want $want" >&2
         status=1
     fi
-    check_golden "$name" "${resp%$'\n'*}"
+    diff_golden "$name.json" "${resp%$'\n'*}"
 }
 
 check_error error_not_found 404 "$BASE/v1/nope"
