@@ -14,8 +14,9 @@
 //! paper's parallel-*time* rounds (§3.2, see
 //! [`Simulation::measure_stabilization_rounds`](crate::engine::Simulation::measure_stabilization_rounds))
 //! and to thread-level Monte Carlo over independent trials
-//! ([`crate::ensemble`], which composes with this module via
-//! [`Ensemble::measure_stabilization_batched`](crate::ensemble::Ensemble::measure_stabilization_batched)).
+//! ([`crate::ensemble`], which composes with this module when each trial
+//! calls [`Simulation::measure_stabilization_batched`], as
+//! [`run_counts`](crate::spec::run_counts) does for `engine: "batched"`).
 //!
 //! # Exactness
 //!

@@ -43,23 +43,18 @@
 //!     |&q: &bool| q,
 //!     |&p: &bool, &q: &bool| (p || q, p || q),
 //! );
-//! let report = Ensemble::new(16, 7)
-//!     .with_threads(2)
-//!     .measure_stabilization(
-//!         |_trial| Simulation::from_counts(epidemic.clone(), [(true, 1), (false, 63)]),
-//!         &true,
-//!         100_000,
-//!     );
+//! // One record per trial: the step after which the output held.
+//! let run = |threads| {
+//!     Ensemble::new(16, 7).with_threads(threads).summarize(|_trial, rng| {
+//!         let mut sim = Simulation::from_counts(epidemic.clone(), [(true, 1), (false, 63)]);
+//!         let rep = sim.measure_stabilization(&true, 100_000, rng);
+//!         rep.stabilized_at.map(|t| t as f64)
+//!     })
+//! };
+//! let report = run(2);
 //! assert_eq!(report.converged(), 16);
 //! // Same master seed, different thread count: byte-identical report.
-//! let single = Ensemble::new(16, 7)
-//!     .with_threads(1)
-//!     .measure_stabilization(
-//!         |_trial| Simulation::from_counts(epidemic.clone(), [(true, 1), (false, 63)]),
-//!         &true,
-//!         100_000,
-//!     );
-//! assert_eq!(report.to_json(), single.to_json());
+//! assert_eq!(report.to_json(), run(1).to_json());
 //! ```
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -67,12 +62,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::engine::{AgentSimulation, Simulation};
+use crate::engine::Simulation;
 use crate::faults::{FaultPlan, FaultRunReport};
 use crate::json::json_f64;
 use crate::observe::MergeProbe;
 use crate::protocol::Protocol;
-use crate::scheduler::PairSampler;
 use crate::trace::{SpanKind, SpanStats, Tracer};
 
 // ---------------------------------------------------------------------------
@@ -118,8 +112,10 @@ pub enum SeedMode {
 // ---------------------------------------------------------------------------
 
 /// A deterministic multi-threaded Monte Carlo executor: `T` independent
-/// trials of any [`Simulation`]/[`AgentSimulation`] workload, bit-identical
-/// results at any thread count. See the [module docs](crate::ensemble).
+/// trials of any [`Simulation`] or
+/// [`AgentSimulation`](crate::engine::AgentSimulation) workload,
+/// bit-identical results at any thread count. See the
+/// [module docs](crate::ensemble).
 #[derive(Debug, Clone)]
 pub struct Ensemble {
     trials: u64,
@@ -381,101 +377,6 @@ impl Ensemble {
         F: Fn(u64, &mut StdRng) -> Option<f64> + Sync,
     {
         EnsembleReport::from_records(self.map(f))
-    }
-
-    /// Ensemble of [`Simulation::run_until_consensus`]: per-trial record is
-    /// the interaction count at first consensus.
-    pub fn run_until_consensus<P, F>(
-        &self,
-        make: F,
-        expected: &P::Output,
-        max_steps: u64,
-    ) -> EnsembleReport
-    where
-        P: Protocol,
-        P::Output: Sync,
-        F: Fn(u64) -> Simulation<P> + Sync,
-    {
-        self.summarize(|trial, rng| {
-            let mut sim = make(trial);
-            sim.run_until_consensus(expected, max_steps, rng).map(|t| t as f64)
-        })
-    }
-
-    /// Ensemble of [`Simulation::measure_stabilization`]: per-trial record
-    /// is `stabilized_at`.
-    pub fn measure_stabilization<P, F>(
-        &self,
-        make: F,
-        expected: &P::Output,
-        horizon: u64,
-    ) -> EnsembleReport
-    where
-        P: Protocol,
-        P::Output: Sync,
-        F: Fn(u64) -> Simulation<P> + Sync,
-    {
-        self.summarize(|trial, rng| {
-            let mut sim = make(trial);
-            sim.measure_stabilization(expected, horizon, rng).stabilized_at.map(|t| t as f64)
-        })
-    }
-
-    /// Ensemble of
-    /// [`Simulation::measure_stabilization_batched`](crate::batch) — the
-    /// fast path for large populations; each trial runs the Θ(√n)-per-sweep
-    /// batched engine on its own thread.
-    ///
-    /// **New call sites should route through the spec layer instead**:
-    /// build a [`RunSpec`](crate::spec::RunSpec) with
-    /// `engine: `[`EngineSel::Batched`](crate::spec::EngineSel) and
-    /// dispatch it via [`run_counts`](crate::spec::run_counts) — the
-    /// unified seam the server, the CLI, and the benches share. This
-    /// method stays as the executor those dispatchers call into.
-    pub fn measure_stabilization_batched<P, F>(
-        &self,
-        make: F,
-        expected: &P::Output,
-        horizon: u64,
-    ) -> EnsembleReport
-    where
-        P: Protocol,
-        P::Output: Sync,
-        F: Fn(u64) -> Simulation<P> + Sync,
-    {
-        self.summarize(|trial, rng| {
-            let mut sim = make(trial);
-            sim.measure_stabilization_batched(expected, horizon, rng)
-                .stabilized_at
-                .map(|t| t as f64)
-        })
-    }
-
-    /// Ensemble of [`AgentSimulation::measure_stabilization`] for
-    /// graph-restricted or scripted workloads.
-    ///
-    /// **New call sites should route through the spec layer instead**:
-    /// build a [`RunSpec`](crate::spec::RunSpec) with
-    /// `engine: `[`EngineSel::Agents`](crate::spec::EngineSel) and
-    /// dispatch it via [`run_agents`](crate::spec::run_agents), which
-    /// materializes the topology and sampler exactly once per trial.
-    /// This method stays as the executor those dispatchers call into.
-    pub fn measure_stabilization_agents<P, S, F>(
-        &self,
-        make: F,
-        expected: &P::Output,
-        horizon: u64,
-    ) -> EnsembleReport
-    where
-        P: Protocol,
-        P::Output: Sync,
-        S: PairSampler,
-        F: Fn(u64) -> AgentSimulation<P, S> + Sync,
-    {
-        self.summarize(|trial, rng| {
-            let mut sim = make(trial);
-            sim.measure_stabilization(expected, horizon, rng).stabilized_at.map(|t| t as f64)
-        })
     }
 
     /// Ensemble of [`Simulation::run_with_faults`](crate::faults): `make`
@@ -1101,11 +1002,10 @@ mod tests {
     #[test]
     fn report_json_is_thread_count_invariant() {
         let run = |threads| {
-            Ensemble::new(24, 42).with_threads(threads).measure_stabilization(
-                |_| Simulation::from_counts(epidemic(), [(true, 1), (false, 31)]),
-                &true,
-                200_000,
-            )
+            Ensemble::new(24, 42).with_threads(threads).summarize(|_, rng| {
+                let mut sim = Simulation::from_counts(epidemic(), [(true, 1), (false, 31)]);
+                sim.measure_stabilization(&true, 200_000, rng).stabilized_at.map(|t| t as f64)
+            })
         };
         let base = run(1).to_json();
         assert_eq!(run(2).to_json(), base);

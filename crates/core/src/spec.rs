@@ -30,16 +30,19 @@
 //! report types (read and written with [`crate::json`]), and the dispatchers
 //! [`run_counts`] (count engine: sequential/batched, single/ensemble,
 //! faulted or not) and [`run_agents`] (agent engine on an arbitrary
-//! scheduler). Resolution of protocol *references* (registry names,
-//! Presburger compilation, topology construction, mean-field integration)
-//! lives one layer up in the `pp-server` crate, which routes every request
-//! — HTTP, CLI, or bench — through `pp_server::api::execute`.
+//! scheduler). A single count-engine trial goes through [`run_single`],
+//! the one place a stop condition becomes a [`SingleRun`]; it is generic
+//! over the simulation's probe, so the server's streamed runs use it too.
+//! Ensembles are [`Ensemble::summarize`] over the same per-trial calls.
+//! Resolution of protocol *references* (registry names, Presburger
+//! compilation, topology construction, mean-field integration) lives one
+//! layer up in the `pp-server` crate, which routes every request — HTTP,
+//! CLI, or bench — through `pp_server::api::execute`.
 
 use std::collections::HashMap;
 use std::fmt;
 
 use rand::rngs::StdRng;
-use rand::Rng;
 
 use crate::engine::{seeded_rng, AgentSimulation, Simulation};
 use crate::ensemble::{Ensemble, EnsembleReport, SeedMode};
@@ -47,8 +50,10 @@ use crate::faults::{
     CorruptionMode, CrashFaults, FaultCtx, FaultPlan, InteractionDrop, Mttr,
     TransientCorruption,
 };
+use crate::observe::Probe;
 use crate::protocol::Protocol;
 use crate::scheduler::PairSampler;
+use crate::trace::Tracer;
 
 pub use crate::json::{parse_json, JsonValue};
 use crate::json::{write_str, JsonError};
@@ -457,15 +462,20 @@ impl RunSpec {
         }
     }
 
-    /// Total population size.
+    /// Total population size, saturating at `u64::MAX` (counts are
+    /// untrusted; a saturated total is refused as too large).
     pub fn population_size(&self) -> u64 {
-        self.population.iter().map(|(_, c)| c).sum()
+        self.population.iter().fold(0, |n, (_, c)| n.saturating_add(*c))
     }
 
-    /// The default horizon `200·n²·ln n` (the historical CLI default).
+    /// The default horizon `200·n²·ln n` (the historical CLI default),
+    /// saturating at `u64::MAX`. `n²` is taken in `f64`: where the `u64`
+    /// product does not overflow both are the correctly rounded exact
+    /// product, so the bits are the same.
     pub fn default_horizon(n: u64) -> u64 {
         let ln = (n.max(2) as f64).ln();
-        (200.0 * (n * n) as f64 * ln) as u64
+        let nf = n as f64;
+        (200.0 * (nf * nf) * ln) as u64
     }
 
     /// The horizon this spec runs with.
@@ -1114,13 +1124,80 @@ impl RunReport {
 // The core dispatchers
 // ---------------------------------------------------------------------------
 
-fn outputs_of<P, Pr, Tr>(sim: &Simulation<P, Pr, Tr>) -> Vec<(String, u64)>
+/// The final output multiset, `Debug`-rendered in interning order.
+fn outputs_of<O: fmt::Debug>(histogram: Vec<(O, u64)>) -> Vec<(String, u64)> {
+    histogram.into_iter().map(|(o, c)| (format!("{o:?}"), c)).collect()
+}
+
+/// Whether `spec` runs on the batched count engine (`false`: sequential).
+fn count_engine_batched(spec: &RunSpec) -> Result<bool, SpecError> {
+    match spec.engine {
+        EngineSel::Sequential => Ok(false),
+        EngineSel::Batched => Ok(true),
+        other => Err(SpecError::Internal(format!(
+            "count engine dispatched with engine {:?}",
+            other.name()
+        ))),
+    }
+}
+
+fn consensus_needs_sequential() -> SpecError {
+    SpecError::Unsupported("stop=\"consensus\" runs on the sequential engine".to_string())
+}
+
+/// Runs one trial of `sim` on the count engine under `spec`'s stop
+/// condition — stabilization, first consensus, or a fixed number of
+/// steps, sequential or batched — drawing from `seeded_rng(spec.seed)`.
+/// Generic over the simulation's probe and tracer, so a streamed run
+/// (a [`JsonlSink`](crate::observe::JsonlSink)-probed simulation) and a
+/// plain one take the same path and report the same [`SingleRun`].
+///
+/// # Errors
+///
+/// [`SpecError::Unsupported`] for consensus × batched;
+/// [`SpecError::Internal`] when `spec` names a non-count engine.
+pub fn run_single<P, Pr, Tr>(
+    spec: &RunSpec,
+    sim: &mut Simulation<P, Pr, Tr>,
+    expected: &P::Output,
+) -> Result<SingleRun, SpecError>
 where
     P: Protocol,
-    Pr: crate::observe::Probe,
-    Tr: crate::trace::Tracer,
+    Pr: Probe,
+    Tr: Tracer,
 {
-    sim.output_histogram().iter().map(|(o, c)| (format!("{o:?}"), *c)).collect()
+    let batched = count_engine_batched(spec)?;
+    let mut horizon = spec.effective_horizon();
+    let mut rng = seeded_rng(spec.seed);
+    let (stabilized_at, silent_tail) = match spec.stop {
+        StopCondition::Stabilization => {
+            let rep = if batched {
+                sim.measure_stabilization_batched(expected, horizon, &mut rng)
+            } else {
+                sim.measure_stabilization(expected, horizon, &mut rng)
+            };
+            horizon = rep.horizon;
+            (rep.stabilized_at, rep.silent_tail())
+        }
+        StopCondition::Consensus if batched => return Err(consensus_needs_sequential()),
+        StopCondition::Consensus => (sim.run_until_consensus(expected, horizon, &mut rng), 0),
+        StopCondition::FixedSteps => {
+            if batched {
+                sim.run_batched(horizon, &mut rng);
+            } else {
+                sim.run(horizon, &mut rng);
+            }
+            (None, 0)
+        }
+    };
+    Ok(SingleRun {
+        stabilized_at,
+        silent_tail,
+        horizon,
+        steps: sim.steps(),
+        effective_steps: Some(sim.effective_steps()),
+        outputs: outputs_of(sim.output_histogram()),
+    })
 }
 
 /// Runs `spec` on the **count engine** (complete interaction graph):
@@ -1149,16 +1226,7 @@ where
     P::Output: Sync,
 {
     let horizon = spec.effective_horizon();
-    let batched = match spec.engine {
-        EngineSel::Sequential => false,
-        EngineSel::Batched => true,
-        other => {
-            return Err(SpecError::Internal(format!(
-                "run_counts dispatched with engine {:?}",
-                other.name()
-            )))
-        }
-    };
+    let batched = count_engine_batched(spec)?;
     let make = |_trial: u64| {
         Simulation::from_counts(protocol.clone(), pairs.iter().cloned())
     };
@@ -1204,77 +1272,26 @@ where
     }
 
     if spec.trials == 1 {
-        let mut rng = seeded_rng(spec.seed);
-        let mut sim = make(0);
-        let outcome = match spec.stop {
-            StopCondition::Stabilization => {
-                let rep = if batched {
-                    sim.measure_stabilization_batched(expected, horizon, &mut rng)
-                } else {
-                    sim.measure_stabilization(expected, horizon, &mut rng)
-                };
-                SingleRun {
-                    stabilized_at: rep.stabilized_at,
-                    silent_tail: rep.silent_tail(),
-                    horizon: rep.horizon,
-                    steps: sim.steps(),
-                    effective_steps: Some(sim.effective_steps()),
-                    outputs: outputs_of(&sim),
-                }
-            }
-            StopCondition::Consensus => {
-                if batched {
-                    return Err(SpecError::Unsupported(
-                        "stop=\"consensus\" runs on the sequential engine".to_string(),
-                    ));
-                }
-                let at = sim.run_until_consensus(expected, horizon, &mut rng);
-                SingleRun {
-                    stabilized_at: at,
-                    silent_tail: 0,
-                    horizon,
-                    steps: sim.steps(),
-                    effective_steps: Some(sim.effective_steps()),
-                    outputs: outputs_of(&sim),
-                }
-            }
-            StopCondition::FixedSteps => {
-                if batched {
-                    sim.run_batched(horizon, &mut rng);
-                } else {
-                    sim.run(horizon, &mut rng);
-                }
-                SingleRun {
-                    stabilized_at: None,
-                    silent_tail: 0,
-                    horizon,
-                    steps: sim.steps(),
-                    effective_steps: Some(sim.effective_steps()),
-                    outputs: outputs_of(&sim),
-                }
-            }
-        };
-        return Ok(RunOutcome::Single(outcome));
+        return run_single(spec, &mut make(0), expected).map(RunOutcome::Single);
     }
 
-    // Ensemble path: byte-identical statistics at any thread count.
+    // Ensemble path: one record per trial (`None` = did not converge),
+    // byte-identical statistics at any thread count.
     let ens = ensemble_of(spec);
     let report = match spec.stop {
-        StopCondition::Stabilization => {
-            if batched {
-                ens.measure_stabilization_batched(make, expected, horizon)
+        StopCondition::Stabilization => ens.summarize(|trial, rng| {
+            let mut sim = make(trial);
+            let rep = if batched {
+                sim.measure_stabilization_batched(expected, horizon, rng)
             } else {
-                ens.measure_stabilization(make, expected, horizon)
-            }
-        }
-        StopCondition::Consensus => {
-            if batched {
-                return Err(SpecError::Unsupported(
-                    "stop=\"consensus\" runs on the sequential engine".to_string(),
-                ));
-            }
-            ens.run_until_consensus(make, expected, horizon)
-        }
+                sim.measure_stabilization(expected, horizon, rng)
+            };
+            rep.stabilized_at.map(|t| t as f64)
+        }),
+        StopCondition::Consensus if batched => return Err(consensus_needs_sequential()),
+        StopCondition::Consensus => ens.summarize(|trial, rng| {
+            make(trial).run_until_consensus(expected, horizon, rng).map(|t| t as f64)
+        }),
         StopCondition::FixedSteps => {
             return Err(SpecError::Unsupported(
                 "stop=\"fixed\" reports one histogram; run it with trials=1".to_string(),
@@ -1322,23 +1339,21 @@ where
         AgentSimulation::from_inputs(protocol.clone(), inputs, mk_sampler())
     };
     if spec.trials == 1 {
-        let mut rng = seeded_rng(spec.seed);
         let mut sim = make(0);
-        let rep = sim.measure_stabilization(expected, horizon, &mut rng);
+        let rep = sim.measure_stabilization(expected, horizon, &mut seeded_rng(spec.seed));
         return Ok(RunOutcome::Single(SingleRun {
             stabilized_at: rep.stabilized_at,
             silent_tail: rep.silent_tail(),
             horizon: rep.horizon,
             steps: sim.steps(),
             effective_steps: Some(sim.effective_steps()),
-            outputs: sim
-                .output_histogram()
-                .iter()
-                .map(|(o, c)| (format!("{o:?}"), *c))
-                .collect(),
+            outputs: outputs_of(sim.output_histogram()),
         }));
     }
-    let report = ensemble_of(spec).measure_stabilization_agents(make, expected, horizon);
+    let report = ensemble_of(spec).summarize(|trial, rng| {
+        let rep = make(trial).measure_stabilization(expected, horizon, rng);
+        rep.stabilized_at.map(|t| t as f64)
+    });
     Ok(RunOutcome::Ensemble(report))
 }
 
@@ -1402,19 +1417,6 @@ pub fn counts_by_symbol(indexed: &[(usize, u64)], arity: usize) -> Vec<u64> {
         }
     }
     out
-}
-
-/// One RNG draw helper kept here so dispatchers never import `Rng`
-/// elsewhere: the seeded single-run stream is `seeded_rng(seed)`.
-pub fn single_run_rng(spec: &RunSpec) -> StdRng {
-    seeded_rng(spec.seed)
-}
-
-// Silence the unused-import lint when the faults path is compiled out in
-// future feature work; `Rng` is used via trait methods on StdRng.
-#[allow(unused)]
-fn _rng_assert(r: &mut StdRng) {
-    let _: bool = r.gen_bool(0.5);
 }
 
 #[cfg(test)]
@@ -1491,6 +1493,31 @@ mod tests {
             &symbols
         )
         .is_err());
+    }
+
+    #[test]
+    fn population_size_and_default_horizon_saturate() {
+        let big = 1u64 << 53;
+        let mut spec = RunSpec::new(
+            ProtocolRef::Name { name: "majority".to_string(), params: vec![] },
+            (0..2048).map(|i| (format!("s{i}"), big)).collect(),
+            0,
+        );
+        assert_eq!(spec.population_size(), u64::MAX);
+        assert!(matches!(
+            check_population(&spec, 1 << 40),
+            Err(SpecError::PopulationTooLarge { n: u64::MAX, .. })
+        ));
+        spec.population.truncate(3);
+        assert_eq!(spec.population_size(), 3 * big);
+        // `n²` in `f64` has the bits of the exact `u64` product wherever
+        // that product exists, and saturates beyond it.
+        for n in [0u64, 1, 2, 10, 1000, 123_457, (1 << 26) + 1, (1 << 32) - 1] {
+            let ln = (n.max(2) as f64).ln();
+            assert_eq!(RunSpec::default_horizon(n), (200.0 * (n * n) as f64 * ln) as u64);
+        }
+        assert_eq!(RunSpec::default_horizon(1 << 32), u64::MAX);
+        assert_eq!(RunSpec::default_horizon(u64::MAX), u64::MAX);
     }
 
     /// Epidemic-style protocol for dispatcher tests: one infected agent

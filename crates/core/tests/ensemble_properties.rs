@@ -37,13 +37,11 @@ fn approx_majority() -> impl Protocol<State = u8, Input = u8, Output = u8> {
 
 /// The batched complete-graph path at a given thread count.
 fn batched_report(master_seed: u64, trials: u64, threads: usize) -> EnsembleReport {
-    Ensemble::new(trials, master_seed)
-        .with_threads(threads)
-        .measure_stabilization_batched(
-            |_trial| Simulation::from_counts(approx_majority(), [(1u8, 40), (0u8, 24)]),
-            &1u8,
-            400_000,
-        )
+    Ensemble::new(trials, master_seed).with_threads(threads).summarize(|_trial, rng| {
+        let mut sim = Simulation::from_counts(approx_majority(), [(1u8, 40), (0u8, 24)]);
+        let rep = sim.measure_stabilization_batched(&1u8, 400_000, rng);
+        rep.stabilized_at.map(|t| t as f64)
+    })
 }
 
 /// The fault-injected path (crash burst + corruption burst) at a given

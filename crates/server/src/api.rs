@@ -24,9 +24,8 @@ use std::sync::{Arc, Mutex};
 
 use pp_analysis::{DriftCache, MeanFieldOptions};
 use pp_core::spec::{
-    check_population, counts_by_symbol, index_population, run_agents, run_counts, EngineSel,
-    JsonValue, ProtocolRef, RunOutcome, RunReport, RunSpec, SingleRun, SpecError,
-    StopCondition, TopologySpec,
+    check_population, counts_by_symbol, index_population, run_agents, run_counts, run_single,
+    EngineSel, JsonValue, ProtocolRef, RunOutcome, RunReport, RunSpec, SpecError, TopologySpec,
 };
 use pp_core::{seeded_rng, JsonlSink, Protocol, Simulation, StateId};
 use pp_presburger::CompiledSpec;
@@ -341,30 +340,19 @@ where
                     let taken = slot
                         .take()
                         .ok_or_else(|| SpecError::Internal("sink already taken".to_string()))?;
-                    let (outcome, returned) =
-                        run_streamed(spec, &protocol, &pairs, &expected, taken)?;
-                    *slot = Some(returned);
-                    outcome
+                    let mut sim = Simulation::from_counts(protocol.clone(), pairs.iter().cloned())
+                        .with_probe(taken);
+                    let single = run_single(spec, &mut sim, &expected)?;
+                    *slot = Some(sim.into_probe());
+                    RunOutcome::Single(single)
                 }
             };
             (outcome, None)
         }
         EngineSel::Agents => {
-            if matches!(sink, StreamSink::Jsonl(_)) {
-                return Err(SpecError::Unsupported(
-                    "streaming runs on the count engines".to_string(),
-                ));
-            }
             run_on_topology(spec, cache, &protocol, &indexed, &expected, to_input)?
         }
-        EngineSel::MeanField => {
-            if matches!(sink, StreamSink::Jsonl(_)) {
-                return Err(SpecError::Unsupported(
-                    "streaming runs on the count engines".to_string(),
-                ));
-            }
-            (mean_field_outcome(spec, cache, &protocol, &pairs, &key)?, None)
-        }
+        EngineSel::MeanField => (mean_field_outcome(spec, cache, &protocol, &pairs, &key)?, None),
     };
 
     Ok(RunReport {
@@ -378,85 +366,6 @@ where
         outcome,
         spec: spec.to_value(),
     })
-}
-
-/// Single-trial count-engine run with a [`JsonlSink`] attached — the
-/// probe-carrying twin of the `trials == 1` arm of [`run_counts`], field
-/// for field. Returns the sink so the caller can recover the writer.
-fn run_streamed<P, W>(
-    spec: &RunSpec,
-    protocol: &P,
-    pairs: &[(P::Input, u64)],
-    expected: &bool,
-    sink: JsonlSink<W>,
-) -> Result<(RunOutcome, JsonlSink<W>), SpecError>
-where
-    P: Protocol<Output = bool> + Clone,
-    W: std::io::Write,
-{
-    let horizon = spec.effective_horizon();
-    let batched = matches!(spec.engine, EngineSel::Batched);
-    let mut rng = seeded_rng(spec.seed);
-    let mut sim =
-        Simulation::from_counts(protocol.clone(), pairs.iter().cloned()).with_probe(sink);
-    let single = match spec.stop {
-        StopCondition::Stabilization => {
-            let rep = if batched {
-                sim.measure_stabilization_batched(expected, horizon, &mut rng)
-            } else {
-                sim.measure_stabilization(expected, horizon, &mut rng)
-            };
-            SingleRun {
-                stabilized_at: rep.stabilized_at,
-                silent_tail: rep.silent_tail(),
-                horizon: rep.horizon,
-                steps: sim.steps(),
-                effective_steps: Some(sim.effective_steps()),
-                outputs: outputs_of(&sim),
-            }
-        }
-        StopCondition::Consensus => {
-            if batched {
-                return Err(SpecError::Unsupported(
-                    "stop=\"consensus\" runs on the sequential engine".to_string(),
-                ));
-            }
-            let at = sim.run_until_consensus(expected, horizon, &mut rng);
-            SingleRun {
-                stabilized_at: at,
-                silent_tail: 0,
-                horizon,
-                steps: sim.steps(),
-                effective_steps: Some(sim.effective_steps()),
-                outputs: outputs_of(&sim),
-            }
-        }
-        StopCondition::FixedSteps => {
-            if batched {
-                sim.run_batched(horizon, &mut rng);
-            } else {
-                sim.run(horizon, &mut rng);
-            }
-            SingleRun {
-                stabilized_at: None,
-                silent_tail: 0,
-                horizon,
-                steps: sim.steps(),
-                effective_steps: Some(sim.effective_steps()),
-                outputs: outputs_of(&sim),
-            }
-        }
-    };
-    Ok((RunOutcome::Single(single), sim.into_probe()))
-}
-
-fn outputs_of<P, Pr, Tr>(sim: &Simulation<P, Pr, Tr>) -> Vec<(String, u64)>
-where
-    P: Protocol + Clone,
-    Pr: pp_core::Probe,
-    Tr: pp_core::Tracer,
-{
-    sim.output_histogram().iter().map(|(o, c)| (format!("{o:?}"), *c)).collect()
 }
 
 /// The agents engine: materialize the topology (cached), wrap the protocol

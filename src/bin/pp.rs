@@ -105,8 +105,10 @@ fn parse_counts(parsed: &ParsedFormula, assignments: &[String]) -> Result<Vec<u6
     Ok(counts)
 }
 
-fn default_horizon(n: u64) -> u64 {
-    RunSpec::default_horizon(n)
+/// Total population; saturates instead of overflowing on huge counts,
+/// which the dispatcher then refuses as too large.
+fn population_size(counts: &[u64]) -> u64 {
+    counts.iter().fold(0, |n, &c| n.saturating_add(c))
 }
 
 /// The spec-order population for a parsed formula: every variable, in
@@ -150,7 +152,7 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
         .ok_or("simulate needs a formula and name=count assignments")?;
     let parsed = parse(src).map_err(|e| e.to_string())?;
     let counts = parse_counts(&parsed, assignments)?;
-    let n: u64 = counts.iter().sum();
+    let n = population_size(&counts);
     if n < 2 {
         return Err("population must have at least 2 agents".into());
     }
@@ -159,7 +161,7 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
         population_of(&parsed, &counts),
         opts.flag_u64("seed", 0)?,
     );
-    spec.horizon = Some(opts.flag_u64("horizon", default_horizon(n))?);
+    spec.horizon = Some(opts.flag_u64("horizon", RunSpec::default_horizon(n))?);
     let report = execute_spec(&spec)?;
     let expected = report.ground_truth.unwrap_or(false);
     println!("population n = {n}, counts {counts:?}, ground truth = {expected}");
@@ -235,7 +237,7 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
     let parsed = parse(src).map_err(|e| e.to_string())?;
     let protocol = compile_parsed(&parsed).map_err(|e| e.to_string())?;
     let counts = parse_counts(&parsed, assignments)?;
-    let n: u64 = counts.iter().sum();
+    let n = population_size(&counts);
     if n < 2 {
         return Err("population must have at least 2 agents".into());
     }
@@ -264,7 +266,7 @@ fn cmd_graph(args: &[String]) -> Result<(), String> {
     let kind = opts.flag_str("kind").ok_or("--kind is required")?;
     let parsed = parse(src).map_err(|e| e.to_string())?;
     let counts = parse_counts(&parsed, assignments)?;
-    let total: u64 = counts.iter().sum();
+    let total = population_size(&counts);
     let n = if n == 0 { total } else { n };
     if n != total {
         return Err(format!("counts sum to {total} but --n is {n}"));
@@ -287,7 +289,7 @@ fn cmd_graph(args: &[String]) -> Result<(), String> {
     spec.engine = EngineSel::Agents;
     spec.topology = Some(topology);
     spec.horizon =
-        Some(opts.flag_u64("horizon", default_horizon(n).saturating_mul(20))?);
+        Some(opts.flag_u64("horizon", RunSpec::default_horizon(n).saturating_mul(20))?);
     let report = execute_spec(&spec)?;
     let expected = report.ground_truth.unwrap_or(false);
     println!(

@@ -4,7 +4,8 @@
 //! request bodies on worker threads. A body of deeply nested `[` that
 //! overflowed a worker stack would abort the whole process (a stack
 //! overflow cannot be caught), so this file boots a real server and sends
-//! one. It also pins the codec's writer to the checked-in wire format:
+//! one, and populations whose total does not fit in a `u64`. It also
+//! pins the codec's writer to the checked-in wire format:
 //! every server golden and bench history record re-renders to its exact
 //! bytes.
 
@@ -41,6 +42,33 @@ fn nested_bracket_bomb_is_a_parse_error_not_a_crash() {
     // The single worker survived and still answers.
     let health = client::get(s.addr(), "/healthz").unwrap();
     assert_eq!(health.status, 200);
+    s.shutdown();
+}
+
+#[test]
+fn population_total_past_u64_is_too_large_not_a_crash() {
+    let s = serve(
+        "127.0.0.1:0",
+        ServerConfig {
+            threads: 1,
+            ..ServerConfig::default()
+        },
+    )
+    .expect("bind loopback");
+    // 2048 × 2^53 is exactly 2^64 (a wrapping sum gives 0); one more
+    // symbol overshoots it. Each count is the largest integer a spec takes.
+    for symbols in [2048, 2049] {
+        let population: Vec<String> =
+            (0..symbols).map(|i| format!("\"s{i}\":9007199254740992")).collect();
+        let body = format!(
+            "{{\"protocol\":{{\"name\":\"majority\"}},\"population\":{{{}}}}}",
+            population.join(",")
+        );
+        let resp = client::post(s.addr(), "/v1/run", &body).unwrap();
+        assert_eq!(resp.status, 413, "{symbols} symbols: {}", resp.text());
+        assert!(resp.text().contains("\"code\":\"population_too_large\""), "{}", resp.text());
+        assert_eq!(client::get(s.addr(), "/healthz").unwrap().status, 200);
+    }
     s.shutdown();
 }
 

@@ -1,0 +1,111 @@
+//! Streaming and plain runs of the same spec agree.
+//!
+//! `execute_stream` runs a single count-engine trial with a `JsonlSink`
+//! probe attached and ends its body with the `pp-run/v1` report line. A
+//! probe only observes, so on the sequential engine that report's `result`
+//! is exactly the `result` of `execute` on the same spec without the
+//! probe, for every stop condition. The batched engine samples
+//! probe-active runs with single-run batches and probe-free runs with
+//! multi-run windows (see `pp_core::batch`): the same law, but different
+//! RNG streams, so there the two paths must agree on everything except
+//! the trajectory. Combinations the stream refuses must be refused with
+//! the same error by both paths.
+
+use population_protocols::core::json::{parse_json, JsonValue};
+use population_protocols::core::spec::{
+    EngineSel, ProbeSpec, ProtocolRef, RunSpec, SpecError, StopCondition,
+};
+use population_protocols::server::{execute, execute_stream, CompiledCache, ExecOptions};
+
+fn specs() -> Vec<RunSpec> {
+    let majority = ProtocolRef::Name { name: "majority".to_string(), params: vec![] };
+    let formula = ProtocolRef::Formula("a > b + 1".to_string());
+    let mut out = Vec::new();
+    for (protocol, population) in [
+        (majority, vec![("1".to_string(), 7), ("0".to_string(), 5)]),
+        (formula, vec![("a".to_string(), 9), ("b".to_string(), 4)]),
+    ] {
+        for seed in [1, 29] {
+            for (engine, stop) in [
+                (EngineSel::Sequential, StopCondition::Stabilization),
+                (EngineSel::Sequential, StopCondition::FixedSteps),
+                (EngineSel::Sequential, StopCondition::Consensus),
+                (EngineSel::Batched, StopCondition::Stabilization),
+                (EngineSel::Batched, StopCondition::FixedSteps),
+            ] {
+                let mut spec = RunSpec::new(protocol.clone(), population.clone(), seed);
+                spec.engine = engine;
+                spec.stop = stop;
+                spec.horizon = Some(4_000);
+                out.push(spec);
+            }
+        }
+    }
+    out
+}
+
+fn streamed(spec: &RunSpec, stride: u64) -> Result<String, SpecError> {
+    let mut spec = spec.clone();
+    spec.probe = ProbeSpec { jsonl: true, stride };
+    let mut body = Vec::new();
+    execute_stream(&spec, &CompiledCache::new(), &ExecOptions::default(), &mut body)?;
+    Ok(String::from_utf8(body).expect("stream body is UTF-8"))
+}
+
+fn result_of(report_json: &str) -> JsonValue {
+    let v = parse_json(report_json).expect("report is JSON");
+    v.get("result").expect("report has a result").clone()
+}
+
+/// The fields of a batched `single` result both samplers agree on: kind,
+/// horizon and steps, plus the final output histogram, because every run
+/// here ends converged.
+fn shape(result: &JsonValue) -> Vec<Option<String>> {
+    ["kind", "horizon", "steps", "outputs"]
+        .iter()
+        .map(|k| result.get(k).map(JsonValue::render))
+        .collect()
+}
+
+#[test]
+fn stream_report_result_equals_plain_result() {
+    for spec in specs() {
+        let name = spec.canonical_json();
+        let (plain, _) = execute(&spec, &CompiledCache::new(), &ExecOptions::default())
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        let want = result_of(&plain.to_json());
+        assert_eq!(want.get("kind").and_then(JsonValue::as_str), Some("single"), "{name}");
+        for stride in [1, 7] {
+            let body = streamed(&spec, stride).unwrap();
+            let got = result_of(body.lines().last().expect("stream has a report line"));
+            if spec.engine == EngineSel::Sequential {
+                assert_eq!(got.render(), want.render(), "{name} at stride {stride}");
+            } else {
+                assert_eq!(shape(&got), shape(&want), "{name} at stride {stride}");
+                if spec.stop == StopCondition::Stabilization {
+                    assert!(got.get("stabilized_at").and_then(JsonValue::as_u64).is_some());
+                    assert!(want.get("stabilized_at").and_then(JsonValue::as_u64).is_some());
+                }
+                // The batched stream is still a pure function of the spec.
+                assert_eq!(streamed(&spec, stride).unwrap(), body, "{name} replay");
+            }
+        }
+    }
+}
+
+#[test]
+fn consensus_on_batched_is_unsupported_on_both_paths() {
+    let mut spec = RunSpec::new(
+        ProtocolRef::Name { name: "majority".to_string(), params: vec![] },
+        vec![("1".to_string(), 7), ("0".to_string(), 5)],
+        3,
+    );
+    spec.engine = EngineSel::Batched;
+    spec.stop = StopCondition::Consensus;
+    spec.horizon = Some(4_000);
+    let plain = execute(&spec, &CompiledCache::new(), &ExecOptions::default()).unwrap_err();
+    let stream = streamed(&spec, 1).unwrap_err();
+    assert_eq!(plain.code(), "unsupported");
+    assert_eq!(stream.code(), plain.code());
+    assert_eq!(stream.to_string(), plain.to_string());
+}
