@@ -22,105 +22,82 @@
 //!
 //! [`Simulation::run_batched`] is distributed **identically** to the same
 //! number of [`Simulation::step`] calls; it is a sampler optimization, not
-//! an approximation. The argument, piece by piece:
+//! an approximation. It advances in **windows**: one window spans several
+//! consecutive collision-free runs (up to `F·⌊√n⌋` fresh pairs, `F ≤ 4`)
+//! plus the collisions that end them, and samples all of them with a
+//! single multiset sweep. Call an agent *touched* once it has interacted
+//! in the current window. The argument, piece by piece:
 //!
-//! **Collision-free run length.** Under uniform random pairing, consider
-//! the first time an interaction touches an agent already touched since the
-//! batch began. With `i` pairs (hence `2i` distinct agents) already drawn,
-//! interaction `i + 1` avoids them with probability
-//! `(n − 2i)(n − 2i − 1) / (n(n − 1))`, independent of anything but `i`.
-//! The run length `L` (number of leading interactions touching `2L`
-//! distinct agents) therefore has survival function
-//! `G(i) = P(L ≥ i) = Π_{j<i} (n − 2j)(n − 2j − 1) / (n(n − 1))`, a product
-//! the engine tabulates once per population size and inverts with a single
-//! uniform draw and a binary search. The birthday bound puts `E[L]` at
-//! `Θ(√n)`, so the table (capped at `⌊√n⌋`) stays short.
+//! **Run lengths need only counts.** Under uniform random pairing, with
+//! `τ` agents touched, the next `i` interactions touch `2i` distinct
+//! untouched agents with probability
+//! `G_τ(i) = Π_{m<i} (n−τ−2m)(n−τ−2m−1)/(n(n−1))`, independent of any
+//! state. That is a ratio `T(τ+2i)/T(τ)` of one falling-factorial table,
+//! which the engine tabulates once per population size and inverts with
+//! one uniform draw and a binary search. The birthday bound puts each run
+//! at `Θ(√n)` interactions.
 //!
-//! **Capping is exact.** The engine truncates `L` at
-//! `cap = min(⌊√n⌋, remaining budget)`. Executing only the first
-//! `min(L, cap)` interactions of a run is exact because the chain is
-//! Markov in the configuration: conditioning on "the first `cap`
-//! interactions were collision-free" is exactly the event `L ≥ cap`, and
-//! given the resulting configuration, later interactions are independent
-//! of how the batch was produced. The next batch starts fresh.
+//! **So do collision roles.** The interaction that ends a run touches at
+//! least one touched agent. Of the `n(n−1) − (n−τ)(n−τ−1)` colliding
+//! ordered pairs, `τ(τ−1)` are touched/touched and `τ(n−τ)` per
+//! orientation pair a touched agent with an untouched one (an *extra*,
+//! which joins the touched set). Again only `τ` and `n` matter, so every
+//! run length and collision kind of a window is drawn up front, before
+//! any state is known.
 //!
-//! **The batch's states.** Conditioned on `L ≥ ℓ`, the `2ℓ` participants
-//! are a uniform ordered sample *without replacement* from the population,
-//! alternating initiator/responder. By exchangeability of
-//! without-replacement draws this is equivalent to: draw the `ℓ` initiator
-//! states as one multivariate hypergeometric sample of the state counts,
-//! then give each initiator state its responder multiset by successive
-//! multivariate hypergeometric draws from the common leftover pool
-//! (population minus initiators minus already-claimed responders) — the
-//! conditional decomposition of "draw `ℓ` responders, match uniformly"
-//! ([`crate::sampling`] provides the exact samplers; each sweep visits
-//! categories in descending count order, which is law-invariant and lets
-//! most sweeps terminate after a few draws). All `2ℓ`
-//! agents are distinct, so the `ℓ` transitions commute and can be applied
-//! to the counts in bulk, grouped by state pair.
+//! **Ending a window is exact.** A window stops when its fresh-pair
+//! budget, its collision bound or the caller's step budget binds. That is
+//! exact because the chain is Markov in the configuration: given the
+//! configuration reached, later interactions are independent of how the
+//! window produced it. The next window starts with nothing touched.
 //!
-//! **The collision interaction.** If `L = ℓ < cap`, interaction `ℓ + 1` is
-//! by definition conditioned to touch at least one of the `2ℓ` touched
-//! agents. Splitting the `n(n − 1) − (n − 2ℓ)(n − 2ℓ − 1)` colliding
-//! ordered pairs by case gives weights `2ℓ(n − 2ℓ)` for
-//! (touched initiator, untouched responder), the same for the reverse
-//! orientation, and `2ℓ(2ℓ − 1)` for two distinct touched agents. The
-//! engine picks the case by weight, then the agents uniformly from the
-//! touched multiset (whose states are the *post-transition* states
-//! accumulated during the bulk apply — a touched agent interacts again
-//! with its new state) and the untouched multiset (current counts minus
-//! touched). This one interaction is executed through the ordinary
-//! sequential path.
+//! **Every newly touched agent is one exchangeable sample.** The fresh
+//! pairs of all runs, plus the extras, are uniform without-replacement
+//! draws from the population, so their states form one multivariate
+//! hypergeometric sample and the decomposition order is free. The engine
+//! draws the extras' states first (one categorical draw each), then the
+//! initiator multiset of all fresh pairs, then gives each initiator state
+//! its responder multiset by successive multivariate hypergeometric draws
+//! from the common leftover pool — the conditional decomposition of "draw
+//! `ℓ` responders, match uniformly" ([`crate::sampling`] provides the
+//! exact samplers; each sweep visits categories in descending count order,
+//! which is law-invariant and lets most sweeps terminate after a few
+//! draws). The fresh pairs' agents are all distinct, so their transitions
+//! commute and are applied to the counts in bulk, grouped by state pair.
+//!
+//! **Collision endpoints resolve by slot index.** Pair slots are filled in
+//! time order, so "a uniform touched agent at collision `c`" is a uniform
+//! (slot, endpoint) with slot below `c`'s prefix count, or one of the
+//! earlier extras. Conditioned on the sweep's group counts, the pair type
+//! of a not-yet-revealed slot is categorical over the *remaining* group
+//! counts; revealed slots keep their (post-transition, possibly
+//! collision-updated) states in a small table. Each collision thus costs
+//! `O(1)` draws and one ordinary transition, and the expensive sweep
+//! amortizes over `≈ F√n` interactions.
 //!
 //! Each piece reproduces the conditional law of the sequential chain given
 //! the previous pieces, so their composition is the chain itself. The only
-//! thing batching forgets is the *interleaving order* of the collision-free
-//! interactions — immaterial, since they commute and are exchangeable.
-//!
-//! # Windows: amortizing one sweep over many runs
-//!
-//! The probe-free fast path goes further: a **window** spans several
-//! consecutive collision-free runs (up to `F·⌊√n⌋` fresh pairs, `F ≤ 4`)
-//! and samples them with a *single* multiset sweep. Three observations make
-//! this exact:
-//!
-//! 1. **Run lengths and collision roles need only counts.** The survival
-//!    function of a run starting with `τ` already-touched agents is
-//!    `G_τ(i) = Π_{m<i} (n−τ−2m)(n−τ−2m−1)/(n(n−1))` — a ratio
-//!    `T(τ+2i)/T(τ)` of one falling-factorial table — and the probability
-//!    that a colliding interaction pairs touched/touched vs touched/fresh
-//!    depends only on `τ` and `n`. So all run lengths and collision *kinds*
-//!    of a window can be drawn up front, one cheap inversion each, before
-//!    any state is known.
-//! 2. **Every newly touched agent is one exchangeable sample.** The fresh
-//!    pairs of all runs, plus each "extra" agent a mixed collision drags
-//!    in, are uniform without-replacement draws from the population, so
-//!    their states form one multivariate hypergeometric sample: the engine
-//!    draws the extras' states and then one combined pair sweep sized by
-//!    the window's total fresh pairs.
-//! 3. **Collision endpoints resolve by slot index.** Pair slots are filled
-//!    in time order, so "a uniform touched agent at collision `c`" is a
-//!    uniform (slot, endpoint) with slot below `c`'s prefix count (or one
-//!    of the earlier extras). Conditioned on the sweep's group counts, the
-//!    pair type of a not-yet-revealed slot is categorical over the
-//!    *remaining* group counts; revealed slots keep their (post-transition,
-//!    possibly collision-updated) states in a small table. Each collision
-//!    thus costs O(1) draws, and the expensive sweep amortizes over
-//!    `≈ F√n` interactions instead of `≈ 0.63√n`.
+//! thing a window forgets is the *interleaving order* of its fresh pairs —
+//! immaterial, since they commute and are exchangeable.
 //!
 //! # Probes
 //!
-//! A batch is reported to the attached [`Probe`] as one
-//! [`BatchEvent`] carrying the transitions
-//! grouped by state pair; the default [`Probe::on_batch`] replays them
-//! through `on_interaction`/`on_output_change`, so existing probes observe
-//! a batched run exactly as a sequential one (up to within-batch order).
-//! Probe-active runs use single-run batches (one collision per batch) so
-//! the replay covers every interaction; only probe-free runs
-//! ([`NoProbe`](crate::observe::NoProbe), which compiles observation away
-//! entirely) take the multi-run window path — the two paths sample the
-//! same law, so attaching a probe never changes the distribution, only the
-//! RNG stream.
+//! A window reports its fresh pairs to the attached [`Probe`] as one
+//! [`BatchEvent`], grouped by state pair, and then each collision as an
+//! ordinary `on_interaction` event, in window order. The default
+//! [`Probe::on_batch`] replays the group through
+//! `on_interaction`/`on_output_change`, so existing probes observe a
+//! batched run exactly as a sequential one, up to order within a window.
+//!
+//! That order — all fresh pairs, then the collisions — is a valid
+//! ordering of the window: it gives every interaction its true before and
+//! after states. A fresh pair touches no agent that an earlier collision
+//! touched, because the extras leave the pool before the sweep and a
+//! collision touches only earlier slots or extras; so each fresh pair
+//! commutes with every collision it is moved ahead of. The feed draws no
+//! random numbers, so a probed run consumes exactly the RNG stream of an
+//! unprobed one, and [`NoProbe`](crate::observe::NoProbe) compiles it
+//! away entirely.
 //!
 //! # When to use what
 //!
@@ -134,7 +111,6 @@
 
 use rand::Rng;
 
-use crate::config::CountConfig;
 use crate::engine::{Simulation, StabilizationReport};
 use crate::observe::{BatchEvent, BatchPair, Probe};
 use crate::protocol::Protocol;
@@ -185,26 +161,20 @@ enum TouchedRef {
 }
 
 /// Reusable buffers and the survival-function tables for the batched
-/// engine; lives on [`Simulation`] so repeated batches allocate nothing.
+/// engine; lives on [`Simulation`] so repeated windows allocate nothing.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct BatchScratch {
-    /// Population the single-run survival table was built for (0 = none).
-    n: u64,
-    /// `survival[i] = G(i) = P(L ≥ i)`: probability the first `i`
-    /// interactions touch `2i` distinct agents (probe path).
-    survival: Vec<f64>,
     /// Population the window tables were built for (0 = none).
     tab_n: u64,
     /// `ratio[k] = Π_{j<k} (n−j)/n`: normalized falling factorial. Offset
     /// survival functions are ratios of this table,
     /// `G_τ(i) = ratio[τ+2i] / (ratio[τ] · qpow[i])`; keeping each entry in
     /// `(0, 1]` (the exponent `−k²/2n` is bounded by the window size) makes
-    /// the iterated product accurate to `~len·ε` relative, like the plain
-    /// survival table.
+    /// the iterated product accurate to `~len·ε` relative.
     ratio: Vec<f64>,
     /// `qpow[i] = ((n−1)/n)^i`.
     qpow: Vec<f64>,
-    /// Initiator state counts of the current batch.
+    /// Initiator state counts of the current window's fresh pairs.
     initiators: Vec<u64>,
     /// Agents still available for sampling: configuration counts depleted by
     /// extras, then initiators, then claimed responders.
@@ -213,11 +183,8 @@ pub(crate) struct BatchScratch {
     matched: Vec<u64>,
     /// Descending-count processing order for the conditional sweeps.
     perm: Vec<u32>,
-    /// The batch grouped as `(initiator, responder, count)`.
+    /// The window's fresh pairs grouped as `(initiator, responder, count)`.
     groups: Vec<(StateId, StateId, u64)>,
-    /// Post-transition state counts of the batch's `2ℓ` touched agents
-    /// (single-run path only).
-    touched: Vec<u64>,
     /// Grouped probe event under construction (probe-active runs only).
     replay: Vec<BatchPair>,
     /// The window's collisions, in time order (counting phase output).
@@ -232,38 +199,6 @@ pub(crate) struct BatchScratch {
 }
 
 impl BatchScratch {
-    /// (Re)builds the survival table for population `n` with `cap + 1`
-    /// entries; no-op when already current.
-    fn ensure_survival(&mut self, n: u64, cap: u64) {
-        if self.n == n && self.survival.len() == cap as usize + 1 {
-            return;
-        }
-        self.n = n;
-        self.survival.clear();
-        self.survival.push(1.0);
-        let denom = n as f64 * (n - 1) as f64;
-        let mut g = 1.0f64;
-        for i in 0..cap {
-            let a = n.saturating_sub(2 * i);
-            let b = a.saturating_sub(1);
-            g *= a as f64 * b as f64 / denom;
-            self.survival.push(g);
-        }
-    }
-
-    /// Samples the collision-free run length truncated at `cap`, by
-    /// inverting the tabulated survival function with one uniform draw:
-    /// returns the largest `i ≤ cap` with `u < G(i)` (always ≥ 1, since
-    /// `G(1) = 1`). A return value of `cap` means "no collision observed
-    /// within the cap".
-    fn sample_run_length(&self, rng: &mut impl Rng, cap: u64) -> u64 {
-        let u = rng.gen_f64();
-        let hi = (cap as usize).min(self.survival.len() - 1);
-        let table = &self.survival[..=hi];
-        // `survival` is non-increasing, so `u < g` holds on a prefix.
-        (table.partition_point(|&g| u < g) as u64).saturating_sub(1).max(1)
-    }
-
     /// (Re)builds the window tables for population `n`: `ratio` up to index
     /// `tau_max` and `qpow` up to index `w`; no-op when already current.
     fn ensure_window_tables(&mut self, n: u64, tau_max: u64, w: u64) {
@@ -333,16 +268,16 @@ fn window_pairs(n: u64, cap: u64) -> u64 {
 /// `2F² ≤ 32` collisions per window, so it essentially never binds.
 const MAX_WINDOW_COLLISIONS: usize = 64;
 
-/// `⌊√n⌋`, the batch cap: at this length the collision-free probability is
-/// still bounded away from 0 while the per-batch sampling cost `O(|Q|²)`
-/// amortizes to `O(|Q|²/√n)` per interaction.
+/// `⌊√n⌋`, the run-length scale: a collision-free run of this length still
+/// has probability bounded away from 0, and a window of `F` such runs
+/// amortizes its `O(|Q|²)` sampling cost to `O(|Q|²/√n)` per interaction.
 fn default_cap(n: u64) -> u64 {
     ((n as f64).sqrt().floor() as u64).max(1)
 }
 
 /// Multivariate hypergeometric sample of `draws` agents from `counts` into
 /// `out`, processed in the category order given by `perm` (descending
-/// population count, precomputed once per batch). The conditional
+/// population count, precomputed once per window). The conditional
 /// decomposition is exact in any fixed category order; descending order
 /// drains `m_rem` into the dominant categories first, so the sweep usually
 /// terminates after a few draws and the many tiny categories are never
@@ -392,62 +327,6 @@ fn state_at(counts: &[u64], mut idx: u64) -> StateId {
     panic!("agent index out of range for count slice");
 }
 
-/// Returns the state of the `idx`-th *untouched* agent: the population
-/// counts minus the touched multiset.
-fn untouched_state_at(config: &CountConfig, touched: &[u64], mut idx: u64) -> StateId {
-    for (i, &c) in config.as_slice().iter().enumerate() {
-        let free = c - touched.get(i).copied().unwrap_or(0);
-        if idx < free {
-            return StateId(i as u32);
-        }
-        idx -= free;
-    }
-    panic!("untouched agent index out of range");
-}
-
-/// Samples the first colliding interaction after `pairs` collision-free
-/// ones: an ordered pair of distinct agents conditioned to touch at least
-/// one of the `2·pairs` touched agents, whose current states are the
-/// multiset `touched`.
-fn sample_collision_pair(
-    config: &CountConfig,
-    touched: &[u64],
-    pairs: u64,
-    rng: &mut impl Rng,
-) -> (StateId, StateId) {
-    let n = config.population();
-    let t_total = 2 * pairs;
-    let u_total = n - t_total;
-    let w_mixed = t_total * u_total; // per orientation
-    let w_tt = t_total * (t_total - 1);
-    let case = rng.gen_range(0..2 * w_mixed + w_tt);
-    if case < w_mixed {
-        // Touched initiator, untouched responder.
-        let p = state_at(touched, rng.gen_range(0..t_total));
-        let q = untouched_state_at(config, touched, rng.gen_range(0..u_total));
-        (p, q)
-    } else if case < 2 * w_mixed {
-        // Untouched initiator, touched responder.
-        let p = untouched_state_at(config, touched, rng.gen_range(0..u_total));
-        let q = state_at(touched, rng.gen_range(0..t_total));
-        (p, q)
-    } else {
-        // Two distinct touched agents: remove the first from the multiset
-        // before drawing the second.
-        let p = state_at(touched, rng.gen_range(0..t_total));
-        let mut second = rng.gen_range(0..t_total - 1);
-        // Skip one agent in state `p` when walking for the second draw.
-        for (i, &c) in touched.iter().enumerate() {
-            let c = if i == p.index() { c - 1 } else { c };
-            if second < c {
-                return (p, StateId(i as u32));
-            }
-            second -= c;
-        }
-        unreachable!("touched multiset exhausted")
-    }
-}
-
 impl<P: Protocol, Pr: Probe, Tr: Tracer> Simulation<P, Pr, Tr> {
     /// Runs `steps` interactions through the batched engine — distributed
     /// identically to [`run`](Self::run) (see the [module docs](crate::batch)
@@ -460,18 +339,7 @@ impl<P: Protocol, Pr: Probe, Tr: Tracer> Simulation<P, Pr, Tr> {
     pub fn run_batched(&mut self, steps: u64, rng: &mut impl Rng) {
         let target = self.steps + steps;
         while self.steps < target {
-            self.advance_batched(target - self.steps, rng);
-        }
-    }
-
-    /// One batching unit of at most `budget ≥ 1` interactions: a multi-run
-    /// window on the probe-free fast path, a single-run batch (whose
-    /// grouped event replays every interaction) when a probe is attached.
-    fn advance_batched(&mut self, budget: u64, rng: &mut impl Rng) -> u64 {
-        if Pr::ACTIVE {
-            self.batch_once(budget, rng)
-        } else {
-            self.window_once(budget, rng)
+            self.window_once(target - self.steps, rng);
         }
     }
 
@@ -480,12 +348,15 @@ impl<P: Protocol, Pr: Probe, Tr: Tracer> Simulation<P, Pr, Tr> {
     /// `horizon` interactions and reports when the output assignment last
     /// became (and stayed) `expected` on every agent.
     ///
-    /// Wrongness is checked at **batch boundaries**, so `stabilized_at` is
-    /// rounded up to the end of the batch in which the output became
-    /// correct — an overestimate of at most one batching unit (≤ `4⌊√n⌋`
-    /// fresh pairs plus a bounded number of collisions, i.e. `o(1)` of any
-    /// `Ω(n)` stabilization time). Convergence/divergence at the horizon is
-    /// decided exactly as in the sequential version.
+    /// Wrongness is checked at **window boundaries**, so `stabilized_at` is
+    /// the first step of the window at whose end the output was last seen
+    /// to turn correct: a *lower* bound on the step after which the run's
+    /// output actually stayed correct. When wrongness is monotone (as in
+    /// an epidemic) the gap is less than one window — at most `4⌊√n⌋`
+    /// fresh pairs plus `MAX_WINDOW_COLLISIONS` collisions, `o(1)` of any
+    /// `Ω(n)` stabilization time; a wrong excursion that starts and ends
+    /// between two boundaries goes unseen. Convergence/divergence at the
+    /// horizon is decided exactly as in the sequential version.
     pub fn measure_stabilization_batched(
         &mut self,
         expected: &P::Output,
@@ -498,7 +369,7 @@ impl<P: Protocol, Pr: Probe, Tr: Tracer> Simulation<P, Pr, Tr> {
         let mut wrong = self.count_of_output(oid) != n;
         let mut last_wrong: Option<u64> = if wrong { Some(0) } else { None };
         while self.steps - start < horizon {
-            self.advance_batched(horizon - (self.steps - start), rng);
+            self.window_once(horizon - (self.steps - start), rng);
             wrong = self.count_of_output(oid) != n;
             if wrong {
                 last_wrong = Some(self.steps - start);
@@ -510,147 +381,13 @@ impl<P: Protocol, Pr: Probe, Tr: Tracer> Simulation<P, Pr, Tr> {
         }
     }
 
-    /// Executes one batch of at most `budget` interactions (at least one);
-    /// returns how many were executed.
-    pub(crate) fn batch_once(&mut self, budget: u64, rng: &mut impl Rng) -> u64 {
-        debug_assert!(budget >= 1);
-        let n = self.config.population();
-        let full_cap = default_cap(n);
-        let cap = full_cap.min(budget);
-        if cap <= 1 {
-            // Tiny population or exhausted budget: a batch of one is just a
-            // sequential step (L ≥ 1 always, so no run-length draw needed).
-            self.step(rng);
-            return 1;
-        }
-        if Tr::ACTIVE {
-            self.tracer.enter(SpanKind::BatchSample);
-        }
-        // Take the scratch off `self` so the loops below can call
-        // `&mut self` engine methods (transition memoization, probes).
-        let mut scratch = std::mem::take(&mut self.batch);
-        scratch.ensure_survival(n, full_cap);
-        let len = scratch.sample_run_length(rng, cap);
-        let collide = len < cap;
-
-        // One descending-count processing order per batch, shared by every
-        // conditional sweep (pool depletion keeps big categories big, and
-        // any fixed order is law-invariant).
-        let counts = self.config.as_slice();
-        scratch.perm.clear();
-        scratch.perm.extend(0..counts.len() as u32);
-        scratch.perm.sort_unstable_by_key(|&i| std::cmp::Reverse(counts[i as usize]));
-
-        // Sample the batch's states: the initiator multiset, then each
-        // initiator group's responders from the common leftover pool — the
-        // conditional decomposition of "draw ℓ responders and match them
-        // uniformly" (see module docs).
-        mvhg_ordered_into(rng, counts, len, &mut scratch.initiators, &scratch.perm);
-        scratch.pool.clear();
-        scratch.pool.extend(
-            self.config
-                .as_slice()
-                .iter()
-                .zip(&scratch.initiators)
-                .map(|(&c, &a)| c - a),
-        );
-        scratch.groups.clear();
-        for s in 0..scratch.initiators.len() {
-            let a_s = scratch.initiators[s];
-            if a_s == 0 {
-                continue;
-            }
-            mvhg_ordered_into(rng, &scratch.pool, a_s, &mut scratch.matched, &scratch.perm);
-            for (t, &c) in scratch.matched.iter().enumerate() {
-                if c > 0 {
-                    scratch.groups.push((StateId(s as u32), StateId(t as u32), c));
-                    scratch.pool[t] -= c;
-                }
-            }
-        }
-        if Tr::ACTIVE {
-            self.tracer.exit(SpanKind::BatchSample, len);
-            self.tracer.enter(SpanKind::BatchApply);
-        }
-
-        // Apply the transitions in bulk, grouped by state pair, tracking the
-        // touched agents' post-transition states for the collision draw.
-        scratch.touched.clear();
-        scratch.replay.clear();
-        let mut effective = 0u64;
-        for &(s, t, c) in &scratch.groups {
-            let (s2, t2) = self.rt.transition(s, t);
-            let eff = (s2, t2) != (s, t);
-            if eff {
-                effective += c;
-            }
-            self.config.apply_many((s, t), (s2, t2), c);
-            let need = s2.index().max(t2.index()) + 1;
-            if scratch.touched.len() < need {
-                scratch.touched.resize(need, 0);
-            }
-            scratch.touched[s2.index()] += c;
-            scratch.touched[t2.index()] += c;
-            let (op, oq) = (self.rt.output_of(s), self.rt.output_of(t));
-            let (op2, oq2) = (self.rt.output_of(s2), self.rt.output_of(t2));
-            if (op, oq) != (op2, oq2) && (op, oq) != (oq2, op2) {
-                self.bump_output(op, -(c as i64));
-                self.bump_output(oq, -(c as i64));
-                self.bump_output(op2, c as i64);
-                self.bump_output(oq2, c as i64);
-            }
-            if Pr::ACTIVE {
-                scratch.replay.push(BatchPair {
-                    before: (s, t),
-                    after: (s2, t2),
-                    outputs_before: (op, oq),
-                    outputs_after: (op2, oq2),
-                    count: c,
-                    effective: eff,
-                });
-            }
-        }
-        self.steps += len;
-        self.effective_steps += effective;
-        if Pr::ACTIVE {
-            if Tr::ACTIVE {
-                self.tracer.enter(SpanKind::Probe);
-            }
-            self.probe.on_batch(&BatchEvent {
-                first_step: self.steps - len + 1,
-                len,
-                pairs: &scratch.replay,
-            });
-            if Tr::ACTIVE {
-                self.tracer.exit(SpanKind::Probe, len);
-            }
-        }
-
-        // The interaction that ended the run, if the cap did not: it must
-        // touch a previously touched agent; executed sequentially.
-        let mut advanced = len;
-        if collide {
-            let (p, q) = sample_collision_pair(&self.config, &scratch.touched, len, rng);
-            let (p2, q2) = self.rt.transition(p, q);
-            if self.note_interaction((p, q), (p2, q2), 0) {
-                self.apply_effective((p, q), (p2, q2));
-            }
-            advanced += 1;
-        }
-        if Tr::ACTIVE {
-            self.tracer.exit(SpanKind::BatchApply, advanced);
-        }
-        self.batch = scratch;
-        advanced
-    }
-
     /// Executes one window of at most `budget` interactions (at least one):
     /// several collision-free runs sampled with a single combined sweep,
     /// plus their interleaved collision interactions (see the
-    /// [module docs](crate::batch) § *Windows*). Returns how many
-    /// interactions were executed. Probe-free path only: the window never
-    /// materializes a per-interaction order, so it cannot feed a probe.
-    pub(crate) fn window_once(&mut self, budget: u64, rng: &mut impl Rng) -> u64 {
+    /// [module docs](crate::batch)). Returns how many interactions were
+    /// executed. An attached probe sees the fresh pairs as one
+    /// [`BatchEvent`], then each collision (§ *Probes*).
+    fn window_once(&mut self, budget: u64, rng: &mut impl Rng) -> u64 {
         debug_assert!(budget >= 1);
         let n = self.config.population();
         let cap = default_cap(n);
@@ -664,6 +401,8 @@ impl<P: Protocol, Pr: Probe, Tr: Tracer> Simulation<P, Pr, Tr> {
             self.tracer.enter(SpanKind::BatchSample);
         }
         let w = window_pairs(n, cap).min(budget);
+        // Take the scratch off `self` so the loops below can call
+        // `&mut self` engine methods (transition memoization, probes).
         let mut scratch = std::mem::take(&mut self.batch);
         let tau_max = (2 * w + MAX_WINDOW_COLLISIONS as u64 + 2).min(n);
         scratch.ensure_window_tables(n, tau_max, w);
@@ -761,11 +500,15 @@ impl<P: Protocol, Pr: Probe, Tr: Tracer> Simulation<P, Pr, Tr> {
             self.tracer.enter(SpanKind::BatchApply);
         }
 
-        // Bulk-apply the fresh pairs, grouped by state pair.
+        // Bulk-apply the fresh pairs, grouped by state pair. They touch no
+        // agent a collision touches before them, so a probe may see them
+        // all before the collisions (module docs § *Probes*).
+        scratch.replay.clear();
         let mut effective = 0u64;
         for &(s, t, c) in &scratch.groups {
             let (s2, t2) = self.rt.transition(s, t);
-            if (s2, t2) != (s, t) {
+            let eff = (s2, t2) != (s, t);
+            if eff {
                 effective += c;
             }
             self.config.apply_many((s, t), (s2, t2), c);
@@ -777,9 +520,29 @@ impl<P: Protocol, Pr: Probe, Tr: Tracer> Simulation<P, Pr, Tr> {
                 self.bump_output(op2, c as i64);
                 self.bump_output(oq2, c as i64);
             }
+            if Pr::ACTIVE {
+                scratch.replay.push(BatchPair {
+                    before: (s, t),
+                    after: (s2, t2),
+                    outputs_before: (op, oq),
+                    outputs_after: (op2, oq2),
+                    count: c,
+                    effective: eff,
+                });
+            }
         }
+        let first_step = self.steps + 1;
         self.steps += pairs;
         self.effective_steps += effective;
+        if Pr::ACTIVE {
+            if Tr::ACTIVE {
+                self.tracer.enter(SpanKind::Probe);
+            }
+            self.probe.on_batch(&BatchEvent { first_step, len: pairs, pairs: &scratch.replay });
+            if Tr::ACTIVE {
+                self.tracer.exit(SpanKind::Probe, pairs);
+            }
+        }
 
         // Phase C — the collisions, in window order, endpoints resolved by
         // slot index against the combined sweep.
@@ -882,6 +645,7 @@ impl<P: Protocol, Pr: Probe, Tr: Tracer> Simulation<P, Pr, Tr> {
 mod tests {
     use super::*;
     use crate::engine::seeded_rng;
+    use crate::observe::{ConvergenceProbe, MetricsProbe};
     use crate::protocol::FnProtocol;
 
     fn epidemic() -> impl Protocol<State = bool, Input = bool, Output = bool> {
@@ -893,47 +657,35 @@ mod tests {
     }
 
     #[test]
-    fn survival_table_is_nonincreasing_and_exact_at_the_front() {
-        let mut s = BatchScratch::default();
-        s.ensure_survival(100, 10);
-        assert_eq!(s.survival.len(), 11);
-        assert!((s.survival[0] - 1.0).abs() < 1e-15);
-        assert!((s.survival[1] - 1.0).abs() < 1e-15, "first pair never collides");
-        // G(2) = (n−2)(n−3)/(n(n−1)).
-        let g2 = 98.0 * 97.0 / (100.0 * 99.0);
-        assert!((s.survival[2] - g2).abs() < 1e-12);
-        assert!(s.survival.windows(2).all(|w| w[1] <= w[0]));
-    }
-
-    #[test]
-    fn run_length_stays_in_bounds_and_matches_birthday_scale() {
-        let mut s = BatchScratch::default();
-        let n = 10_000u64;
-        let cap = default_cap(n);
-        s.ensure_survival(n, cap);
-        let mut rng = seeded_rng(3);
-        let trials = 20_000;
-        let mut sum = 0u64;
-        for _ in 0..trials {
-            let l = s.sample_run_length(&mut rng, cap);
-            assert!((1..=cap).contains(&l));
-            sum += l;
-        }
-        // E[min(L, √n)] is Θ(√n); loose sanity band.
-        let mean = sum as f64 / f64::from(trials);
-        assert!(mean > 0.3 * cap as f64, "mean run {mean} vs cap {cap}");
-    }
-
-    #[test]
-    fn batch_once_respects_budget_and_advances() {
-        let mut sim = Simulation::from_counts(epidemic(), [(true, 10), (false, 90)]);
+    fn window_once_respects_budget_and_feeds_every_interaction_to_the_probe() {
+        let mut sim = Simulation::from_counts(epidemic(), [(true, 10), (false, 90)])
+            .with_probe(MetricsProbe::new());
         let mut rng = seeded_rng(5);
         for budget in [1u64, 2, 3, 7, 100] {
             let before = sim.steps();
-            let adv = sim.batch_once(budget, &mut rng);
+            let adv = sim.window_once(budget, &mut rng);
             assert!(adv >= 1 && adv <= budget, "advanced {adv} with budget {budget}");
             assert_eq!(sim.steps(), before + adv);
+            assert_eq!(sim.probe().interactions(), sim.steps());
             assert_eq!(sim.population(), 100);
+        }
+    }
+
+    #[test]
+    fn stabilization_is_the_first_step_of_the_final_window() {
+        // Epidemic wrongness is monotone, so the step a probe sees the last
+        // agent infected lies inside the window the engine reports: at or
+        // after its first step, and less than one window past it.
+        for (n, seed) in [(100u64, 11u64), (4_096, 12), (100_000, 13)] {
+            let mut sim = Simulation::from_counts(epidemic(), [(true, 1), (false, n - 1)]);
+            let out = sim.output_id(&true);
+            let mut sim = sim.with_probe(ConvergenceProbe::for_output(out));
+            let mut rng = seeded_rng(seed);
+            let rep = sim.measure_stabilization_batched(&true, 30 * n, &mut rng);
+            let engine = rep.stabilized_at.expect("epidemic must saturate");
+            let probe = sim.probe().stabilized_at().expect("probe saw saturation");
+            let window = 4 * default_cap(n) + MAX_WINDOW_COLLISIONS as u64;
+            assert!(engine <= probe && probe < engine + window, "n={n}: {engine} vs {probe}");
         }
     }
 

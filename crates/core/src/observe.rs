@@ -110,9 +110,9 @@ impl InteractionEvent {
 /// One group of identical interactions inside a [`BatchEvent`]: `count`
 /// pairs whose initiator/responder were in `before` and moved to `after`.
 ///
-/// The batched engine ([`crate::batch`]) samples the whole multiset of
-/// interacting pairs of a batch at once, so it naturally reports them
-/// grouped by `(initiator, responder)` state pair rather than one event per
+/// The batched engine ([`crate::batch`]) samples the whole multiset of a
+/// window's fresh pairs at once, so it naturally reports them grouped by
+/// `(initiator, responder)` state pair rather than one event per
 /// interaction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchPair {
@@ -130,15 +130,17 @@ pub struct BatchPair {
     pub effective: bool,
 }
 
-/// One sampled batch of interactions
+/// The fresh pairs of one batched window
 /// ([`Simulation::run_batched`](crate::Simulation::run_batched)), as seen by
 /// a [`Probe`].
 ///
-/// The batch spans engine steps `first_step ..= first_step + len - 1`; all
-/// `2·len` participating agents are distinct (the batch is collision-free by
-/// construction), so the interactions commute and their order within the
-/// batch is not part of the sampled law. `pairs` reports them grouped by
-/// transition.
+/// The event covers engine steps `first_step ..= first_step + len - 1`,
+/// and replaying its pairs there is a valid order for them: all `2·len`
+/// participating agents are distinct, so the interactions commute and
+/// their order is not part of the sampled law. `pairs` reports them
+/// grouped by transition. The window's collisions follow as ordinary
+/// [`on_interaction`](Probe::on_interaction) events, in window order (see
+/// [`crate::batch`] § *Probes*).
 #[derive(Debug, Clone, Copy)]
 pub struct BatchEvent<'a> {
     /// Engine step index of the first interaction of the batch.
@@ -208,8 +210,9 @@ pub trait Probe {
         let _ = (injected, snap);
     }
 
-    /// The batched engine executed a whole collision-free batch of
-    /// interactions at once (see [`crate::batch`]).
+    /// The batched engine executed the fresh pairs of a window at once
+    /// (see [`crate::batch`]); its collisions follow as separate
+    /// [`on_interaction`](Self::on_interaction) events.
     ///
     /// The default implementation replays the batch as `ev.len` ordinary
     /// [`on_interaction`](Self::on_interaction) events (plus

@@ -88,9 +88,10 @@ pub enum SpanKind {
     /// collision interactions); `items` counts the interactions executed.
     BatchApply = 2,
     /// Probe overhead: time spent inside
-    /// [`Probe::on_batch`](crate::observe::Probe::on_batch) replay when both
-    /// a probe and a tracer are attached; `items` counts replayed
-    /// interactions.
+    /// [`Probe::on_batch`](crate::observe::Probe::on_batch) replay of a
+    /// batched window's fresh pairs when both a probe and a tracer are
+    /// attached; `items` counts the replayed pairs. (The window's
+    /// collisions reach the probe inside [`BatchApply`](Self::BatchApply).)
     Probe = 3,
     /// Statistics folding: [`SpanStats::fold`] self-times its own trial-order
     /// merge under this kind; `items` counts the parts folded.

@@ -4,7 +4,7 @@
 //! randomness), whether the run carries the default [`NoProbe`], an
 //! explicit [`NoProbe`], or a live [`MetricsProbe`] — on both engines and
 //! on every execution path (sequential steps, leaps, parallel rounds,
-//! faulted runs).
+//! batched windows, faulted runs).
 
 use pp_core::observe::{ConvergenceProbe, MetricsProbe, NoProbe};
 use pp_core::scheduler::UniformPairScheduler;
@@ -76,6 +76,39 @@ proptest! {
             } else {
                 let mut sim = Simulation::from_counts(approx_majority(), init);
                 let rep = sim.measure_stabilization(&expected, horizon, &mut rng);
+                Ok((rep, sim.steps(), sim.effective_steps(), drain(&mut rng)))
+            }
+        };
+        prop_assert_eq!(run(false)?, run(true)?);
+    }
+
+    #[test]
+    fn count_engine_batched_path_is_probe_transparent(
+        seed in 0u64..1_000,
+        ones in 1u64..400,
+        zeros in 1u64..400,
+        horizon in 100u64..20_000,
+    ) {
+        type Outcome = Result<(StabilizationReport, u64, u64, [u64; 4]), TestCaseError>;
+        let run = |probe: bool| -> Outcome {
+            let init = [(1u8, ones), (0u8, zeros)];
+            let expected = if ones > zeros { 1u8 } else { 0u8 };
+            let mut rng = seeded_rng(seed);
+            if probe {
+                let mut sim = Simulation::from_counts(approx_majority(), init)
+                    .with_probe(MetricsProbe::new());
+                let rep = sim.measure_stabilization_batched(&expected, horizon, &mut rng);
+                // Every fresh pair and every collision of every window
+                // reached the probe.
+                prop_assert_eq!(sim.probe().interactions(), sim.steps());
+                prop_assert_eq!(
+                    sim.probe().effective_interactions(),
+                    sim.effective_steps()
+                );
+                Ok((rep, sim.steps(), sim.effective_steps(), drain(&mut rng)))
+            } else {
+                let mut sim = Simulation::from_counts(approx_majority(), init);
+                let rep = sim.measure_stabilization_batched(&expected, horizon, &mut rng);
                 Ok((rep, sim.steps(), sim.effective_steps(), drain(&mut rng)))
             }
         };

@@ -4,8 +4,9 @@
 # Boots a release pp-server on loopback, fires the scripted request set —
 # a named-protocol run, a formula compile-and-run, a fault ensemble, a
 # mean-field query, single-trial consensus and fixed-step runs, a
-# consensus ensemble, an agents-engine ensemble, one JSONL stream, and two
-# error requests (an unknown route and a body nested too deep) — and
+# consensus ensemble, an agents-engine ensemble, two JSONL streams (one
+# sequential, one batched), and two error requests (an unknown route and
+# a body nested too deep) — and
 # diffs each response body byte-for-byte against
 # the checked-in goldens in tests/goldens/server/. Because reports carry
 # no wall-clock fields and every request is seeded, the bodies are stable
@@ -113,6 +114,18 @@ REQUESTS[stream_parity]='{
     "horizon": 2000,
     "probe": {"kind": "jsonl", "stride": 25}
 }'
+# The single_fixed run streamed: a probe rides along the batched engine's
+# windows without moving its RNG stream, so the report line's result is
+# single_fixed's.
+REQUESTS[stream_batched]='{
+    "protocol": {"name": "approximate-majority"},
+    "population": {"1": 60, "0": 40},
+    "seed": 5,
+    "engine": "batched",
+    "horizon": 2000,
+    "stop": "fixed",
+    "probe": {"kind": "jsonl", "stride": 25}
+}'
 
 mkdir -p "$GOLDEN_DIR"
 status=0
@@ -152,6 +165,7 @@ for name in protocol_run formula_run fault_ensemble mean_field \
     check_golden "$name" /v1/run
 done
 check_golden stream_parity /v1/stream
+check_golden stream_batched /v1/stream
 
 # The error wire format: fetched with -s rather than -f so the 4xx body
 # comes back; the status is asserted and the body diffed like any golden.
