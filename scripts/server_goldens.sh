@@ -4,9 +4,10 @@
 # Boots a release pp-server on loopback, fires the scripted request set —
 # a named-protocol run, a formula compile-and-run, a fault ensemble, a
 # mean-field query, single-trial consensus and fixed-step runs, a
-# consensus ensemble, an agents-engine ensemble, two JSONL streams (one
-# sequential, one batched), and two error requests (an unknown route and
-# a body nested too deep) — and
+# consensus ensemble, an agents-engine ensemble, a single-trial
+# agents-engine run on a line, two JSONL streams (one sequential, one
+# batched), and two error requests (an unknown route and a body nested
+# too deep) — and
 # diffs each response body byte-for-byte against
 # the checked-in goldens in tests/goldens/server/. Because reports carry
 # no wall-clock fields and every request is seeded, the bodies are stable
@@ -105,6 +106,17 @@ REQUESTS[agents_ensemble]='{
     "trials": 2,
     "horizon": 2000000
 }'
+# One agents-engine trial on an edge-list topology: pins the edge-list
+# sampler's draws and the single-trial render of the agents engine.
+REQUESTS[single_agents_line]='{
+    "protocol": {"name": "majority"},
+    "population": {"1": 9, "0": 7},
+    "seed": 23,
+    "engine": "agents",
+    "topology": {"kind": "line"},
+    "trials": 1,
+    "horizon": 200000
+}'
 # The stream golden is the whole JSONL body: thinned probe events, the
 # sink's summary line, and the final pp-run/v1 report line.
 REQUESTS[stream_parity]='{
@@ -161,7 +173,8 @@ check_golden() {
 }
 
 for name in protocol_run formula_run fault_ensemble mean_field \
-    single_consensus single_fixed consensus_ensemble agents_ensemble; do
+    single_consensus single_fixed consensus_ensemble agents_ensemble \
+    single_agents_line; do
     check_golden "$name" /v1/run
 done
 check_golden stream_parity /v1/stream
