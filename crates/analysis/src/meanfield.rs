@@ -103,7 +103,7 @@ use std::sync::Arc;
 
 use pp_core::registry::{DenseRuntime, StateId};
 use pp_core::trace::Tracer;
-use pp_core::{Probe, Protocol, Simulation};
+use pp_core::{PopulationError, Probe, Protocol, Simulation};
 
 use crate::linalg::Matrix;
 
@@ -142,8 +142,16 @@ impl DriftField {
     /// ordered pair into a sparse term. No-op pairs vanish (their net
     /// change is zero) — the term list is exactly the protocol's reactive
     /// pair set.
-    pub fn derive<P: Protocol>(rt: &mut DenseRuntime<P>, support: &[StateId]) -> Self {
-        let table = rt.transition_table(support);
+    ///
+    /// # Errors
+    ///
+    /// [`PopulationError::StateSpaceExceeded`] if the closure passes
+    /// [`CLOSURE_STATE_CAP`](pp_core::registry::CLOSURE_STATE_CAP) states.
+    pub fn derive<P: Protocol>(
+        rt: &mut DenseRuntime<P>,
+        support: &[StateId],
+    ) -> Result<Self, PopulationError> {
+        let table = rt.transition_table(support)?;
         let dim = rt.state_count();
         let mut terms = Vec::new();
         let mut net = vec![0.0f64; dim];
@@ -165,7 +173,7 @@ impl DriftField {
                 terms.push(DriftTerm { p: p.0, q: q.0, delta });
             }
         }
-        Self { dim, terms }
+        Ok(Self { dim, terms })
     }
 
     /// Number of states (the dimension of the occupancy simplex).
@@ -252,18 +260,22 @@ impl DriftCache {
 
     /// Returns the cached field for `key`, deriving and inserting it on
     /// first use.
+    ///
+    /// # Errors
+    ///
+    /// As for [`DriftField::derive`]; nothing is cached then.
     pub fn get_or_derive<P: Protocol>(
         &mut self,
         key: &str,
         rt: &mut DenseRuntime<P>,
         support: &[StateId],
-    ) -> Arc<DriftField> {
+    ) -> Result<Arc<DriftField>, PopulationError> {
         if let Some(f) = self.fields.get(key) {
-            return Arc::clone(f);
+            return Ok(Arc::clone(f));
         }
-        let field = Arc::new(DriftField::derive(rt, support));
+        let field = Arc::new(DriftField::derive(rt, support)?);
         self.fields.insert(key.to_string(), Arc::clone(&field));
-        field
+        Ok(field)
     }
 
     /// Number of cached fields.
@@ -324,6 +336,12 @@ impl MeanField {
     /// the initial fractions from its occupancy, the population from its
     /// size. The runtime's state space is closed under `δ` as a side
     /// effect (ids already interned keep their values).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the closure passes
+    /// [`CLOSURE_STATE_CAP`](pp_core::registry::CLOSURE_STATE_CAP) states;
+    /// [`DriftField::derive`] reports that as an error instead.
     pub fn from_simulation<P: Protocol, Pr: Probe, Tr: Tracer>(
         sim: &mut Simulation<P, Pr, Tr>,
     ) -> Self {
@@ -331,7 +349,9 @@ impl MeanField {
         let support: Vec<StateId> =
             sim.config().support().map(|(s, _)| s).collect();
         let counts: Vec<u64> = sim.config().as_slice().to_vec();
-        let field = Arc::new(DriftField::derive(sim.runtime_mut(), &support));
+        let field = Arc::new(
+            DriftField::derive(sim.runtime_mut(), &support).unwrap_or_else(|e| panic!("{e}")),
+        );
         let mut init: Vec<f64> = counts.iter().map(|&c| c as f64 / n as f64).collect();
         init.resize(field.dim(), 0.0);
         Self { field, init, population: n }
@@ -1184,8 +1204,8 @@ mod tests {
         let mut cache = DriftCache::new();
         let mut sim = Simulation::from_counts(epidemic(), [(true, 5u64), (false, 5)]);
         let support: Vec<StateId> = sim.config().support().map(|(s, _)| s).collect();
-        let a = cache.get_or_derive("epidemic", sim.runtime_mut(), &support);
-        let b = cache.get_or_derive("epidemic", sim.runtime_mut(), &support);
+        let a = cache.get_or_derive("epidemic", sim.runtime_mut(), &support).unwrap();
+        let b = cache.get_or_derive("epidemic", sim.runtime_mut(), &support).unwrap();
         assert!(Arc::ptr_eq(&a, &b), "second lookup must share the compiled field");
         assert_eq!(cache.len(), 1);
         assert!(cache.contains("epidemic"));

@@ -12,12 +12,13 @@
 //! Cases per population:
 //!
 //! * `boxed_seq` — `EdgeListScheduler` (tuple edge list) + the sequential
-//!   `step` loop: two virtual RNG calls and a hash-map δ-lookup per
+//!   `step` loop: two virtual RNG calls and a δ-memo lookup per
 //!   interaction, one serialized cache miss per draw.
 //! * `csr_seq` — `CsrScheduler` + the same sequential loop (isolates the
 //!   layout change).
-//! * `csr_batched` — `run_batched`: monomorphized batch sampling + frozen
-//!   dense δ-table (isolates the batching change).
+//! * `csr_batched` — `run_batched`: monomorphized batch sampling, and the
+//!   apply kernel `measure_stabilization` shares (isolates the batching
+//!   change).
 //! * `csr_sharded_t1` / `csr_sharded_t2` — `run_epochs` at 1 and 2 threads.
 //!   On a single-core host the 2-thread row measures coordination overhead,
 //!   not speedup; its purpose here is the byte-identity guarantee, which is
@@ -57,7 +58,7 @@ fn time_blocks(
     k: u64,
     reps: u64,
 ) -> (f64, f64) {
-    run(k / 4); // warmup: interns states, freezes δ, faults in the arrays
+    run(k / 4); // warmup: interns states, fills the δ-memo, faults in the arrays
     let mut w = Welford::new();
     for _ in 0..reps {
         let start = Instant::now();

@@ -1,30 +1,46 @@
 //! Batched and epoch-sharded execution for the agent engine.
 //!
-//! The sequential [`AgentSimulation::step`] loop interleaves one scheduler
+//! The per-step [`AgentSimulation::step`] loop interleaves one scheduler
 //! draw with one transition apply, which serializes a cache miss per
 //! interaction once the population spills out of cache. This module breaks
 //! that dependence in two stages:
 //!
-//! * **Batched sampling** ([`run_batched`](AgentSimulation::run_batched)):
+//! * **Batched sampling** ([`run_batched`](AgentSimulation::run_batched),
+//!   [`measure_stabilization`](AgentSimulation::measure_stabilization)):
 //!   draw `K` edges at once through [`BatchPairSampler`] (monomorphized RNG,
 //!   independent random reads that overlap in the memory pipeline), then
-//!   apply them in draw order against a *frozen* dense `δ`-table instead of
-//!   a hash-map lookup per interaction. The RNG stream and the applied
-//!   interaction sequence are **byte-identical** to the sequential loop.
+//!   apply them in draw order through the runtime's dense `δ`-memo (see
+//!   [`DenseRuntime::transition`](crate::DenseRuntime::transition)). Both
+//!   methods share one apply kernel, and `measure_stabilization` is the
+//!   only stabilization loop of the agent engine: `engine: "agents"` runs
+//!   are served through it.
 //! * **Epoch sharding** ([`run_epochs`](AgentSimulation::run_epochs)): shard
 //!   one trajectory across threads in conflict-free epochs. Each epoch's
 //!   `K` sampled edges are classified in draw order — an edge is
 //!   *independent* iff no earlier edge of the same epoch touches either
-//!   endpoint — and worker threads precompute the transition of every edge
-//!   from the pre-epoch states into disjoint result chunks. The main thread
-//!   then merges in draw order: independent edges take their precomputed
-//!   result (valid because their endpoints are untouched when they apply),
-//!   conflicted edges are recomputed from the current states. Sampling,
-//!   classification, and merging all happen on the main thread with a single
-//!   RNG, so the trajectory is byte-identical at **any** thread count —
-//!   parallelism changes wall-clock only, never results.
+//!   endpoint — and worker threads look up the transition of every edge
+//!   from the pre-epoch states in the runtime's dense `δ`-memo, into
+//!   disjoint result chunks. The main thread then merges in draw order:
+//!   independent edges take their looked-up result (valid because their
+//!   endpoints are untouched when they apply); conflicted edges, and pairs
+//!   the memo has not seen yet, are computed from the current states.
+//!   Sampling, classification, merging and every new state's interning
+//!   happen on the main thread with a single RNG, so the trajectory and the
+//!   state ids are byte-identical to `run_batched`'s at **any** thread
+//!   count — parallelism changes wall-clock only, never results.
 //!
-//! Both paths surface starvation (no live pair can ever be sampled again) as
+//! # Identity with the per-step loop
+//!
+//! With no crashed agent, or with a sampler that masks crashed agents out
+//! of its draws ([`PairSampler::mask_live`](crate::scheduler::PairSampler::mask_live),
+//! e.g. [`CsrScheduler`](crate::scheduler::CsrScheduler)), a batched run
+//! consumes the same RNG stream and applies the same interactions, in the
+//! same order, as that many [`step`](AgentSimulation::step) calls: same
+//! final states, state ids, counters and probe events. A rejection sampler
+//! with crashed agents redraws a crashed slot after the whole batch is
+//! drawn rather than at once, so its run is another sample of the same law.
+//!
+//! All paths surface starvation (no live pair can ever be sampled again) as
 //! [`PopulationError::StarvedSchedule`] instead of spinning or panicking.
 
 use rand::RngCore;
@@ -35,7 +51,7 @@ use crate::engine::{
 use crate::error::PopulationError;
 use crate::observe::Probe;
 use crate::protocol::Protocol;
-use crate::registry::StateId;
+use crate::registry::{DenseRuntime, StateId, UNSET};
 use crate::scheduler::BatchPairSampler;
 use crate::trace::{SpanKind, Tracer};
 
@@ -45,31 +61,9 @@ use crate::trace::{SpanKind, Tracer};
 /// graphs.
 pub const EPOCH_EDGES: usize = 4096;
 
-/// Upper bound on the state count for which the dense frozen `δ`-table is
-/// materialized (`k × k` entries of 8 bytes: 8 MiB at the cap). Protocols
-/// beyond the cap fall back to the memoized hash-map transition.
-const FROZEN_DELTA_CAP: usize = 1024;
-
-/// The transition function frozen into a dense `k × k` table over a
-/// `δ`-closed state set, so workers can evaluate it with a shared reference
-/// (no interning, no locking) and the hot loop replaces a hash lookup with
-/// one indexed load.
-#[derive(Debug, Clone)]
-struct FrozenDelta {
-    k: usize,
-    next: Vec<(StateId, StateId)>,
-}
-
-impl FrozenDelta {
-    #[inline]
-    fn lookup(&self, p: StateId, q: StateId) -> (StateId, StateId) {
-        self.next[p.index() * self.k + q.index()]
-    }
-}
-
 /// Reusable scratch buffers for batched and epoch-sharded execution, owned
 /// by every [`AgentSimulation`] (empty until the first batched call, so the
-/// sequential engine pays nothing for it).
+/// per-step engine pays nothing for it).
 #[derive(Debug, Clone, Default)]
 pub struct AgentBatchScratch {
     /// Sampled edges of the current batch, in draw order.
@@ -82,37 +76,60 @@ pub struct AgentBatchScratch {
     epoch: u32,
     /// Per-edge independence verdicts, in draw order.
     independent: Vec<bool>,
-    /// Frozen dense transition table, when the state space fits the cap.
-    delta: Option<FrozenDelta>,
+}
+
+/// Wrong-output bookkeeping of a stabilization run, kept by the apply
+/// kernel on effective interactions only.
+struct Watch<'e, O> {
+    expected: &'e O,
+    /// Whether each interned state's output is `expected`; filled up to
+    /// the runtime's state count on every effective interaction.
+    ok: Vec<bool>,
+    /// Live agents whose output is not `expected`.
+    wrong: u64,
+    /// The last interaction count, since the run started, after which some
+    /// live agent's output was wrong (`None`: none so far).
+    last_wrong: Option<u64>,
+    /// Interactions of the run applied before the current batch.
+    done: u64,
+}
+
+impl<O: PartialEq> Watch<'_, O> {
+    /// Accounts the effective interaction at index `i` of the current batch.
+    #[inline]
+    fn note<P: Protocol<Output = O>>(
+        &mut self,
+        rt: &DenseRuntime<P>,
+        before: (StateId, StateId),
+        after: (StateId, StateId),
+        i: usize,
+    ) {
+        while self.ok.len() < rt.state_count() {
+            let s = StateId(self.ok.len() as u32);
+            self.ok.push(rt.output_value(rt.output_of(s)) == self.expected);
+        }
+        let bad = |s: StateId| u64::from(!self.ok[s.index()]);
+        let was = self.wrong;
+        self.wrong = was + bad(after.0) + bad(after.1) - bad(before.0) - bad(before.1);
+        if was > 0 && self.wrong == 0 {
+            // Wrong through interaction `done + i`, right from the next one.
+            self.last_wrong = Some(self.done + i as u64);
+        }
+    }
+
+    /// Closes a batch of `len` interactions.
+    #[inline]
+    fn end_batch(&mut self, len: usize) {
+        self.done += len as u64;
+        if self.wrong > 0 {
+            self.last_wrong = Some(self.done);
+        }
+    }
 }
 
 impl<P: Protocol, S: BatchPairSampler, Pr: Probe, Tr: Tracer> AgentSimulation<P, S, Pr, Tr> {
-    /// Closes the state space under `δ` and (re)freezes the dense transition
-    /// table if the closure fits [`FROZEN_DELTA_CAP`]. After this, applying
-    /// interactions can never intern a new state, which is what lets worker
-    /// threads evaluate transitions from a shared reference.
-    fn refresh_frozen_delta(&mut self) {
-        let seeds: Vec<StateId> = self.rt.state_ids().collect();
-        self.rt.close_under_delta(&seeds);
-        let k = self.rt.state_count();
-        if k > FROZEN_DELTA_CAP {
-            self.batch.delta = None;
-            return;
-        }
-        if self.batch.delta.as_ref().is_some_and(|d| d.k == k) {
-            return;
-        }
-        let mut next = Vec::with_capacity(k * k);
-        for p in 0..k as u32 {
-            for q in 0..k as u32 {
-                next.push(self.rt.transition(StateId(p), StateId(q)));
-            }
-        }
-        debug_assert_eq!(self.rt.state_count(), k, "closure must be δ-closed");
-        self.batch.delta = Some(FrozenDelta { k, next });
-    }
-
-    /// Fills the scratch edge buffer with `k` edges joining live agents.
+    /// Fills the scratch edge buffer with `k` edges joining live agents,
+    /// inside a [`SpanKind::BatchSample`] span.
     ///
     /// With no crashed agents this is exactly the sampler's batched draw
     /// (stream-identical to `k` sequential draws). Masked samplers (see
@@ -120,6 +137,21 @@ impl<P: Protocol, S: BatchPairSampler, Pr: Probe, Tr: Tracer> AgentSimulation<P,
     /// endpoint, so the fix-up scan finds nothing; for rejection samplers,
     /// offending slots are redrawn in place with the usual capped budget.
     fn fill_live_batch(
+        &mut self,
+        k: usize,
+        rng: &mut impl RngCore,
+    ) -> Result<(), PopulationError> {
+        if Tr::ACTIVE {
+            self.tracer.enter(SpanKind::BatchSample);
+        }
+        let fill = self.draw_live_batch(k, rng);
+        if Tr::ACTIVE {
+            self.tracer.exit(SpanKind::BatchSample, k as u64);
+        }
+        fill
+    }
+
+    fn draw_live_batch(
         &mut self,
         k: usize,
         rng: &mut impl RngCore,
@@ -151,62 +183,108 @@ impl<P: Protocol, S: BatchPairSampler, Pr: Probe, Tr: Tracer> AgentSimulation<P,
         Ok(())
     }
 
-    /// Applies the buffered batch in draw order on the calling thread.
-    fn apply_batch_sequential(&mut self) {
+    /// The apply kernel of [`run_batched`](Self::run_batched) and
+    /// [`measure_stabilization`](Self::measure_stabilization): applies the
+    /// buffered batch in draw order through the runtime's `δ`-memo and,
+    /// given a `watch`, keeps its wrong-output count. Inlined (with
+    /// [`drive`](Self::drive)) into each caller, so `run_batched`'s copy
+    /// carries no watch branch in its hot loop.
+    #[inline(always)]
+    fn apply_batch(&mut self, mut watch: Option<&mut Watch<'_, P::Output>>) {
         let edges = std::mem::take(&mut self.batch.edges);
-        let delta = self.batch.delta.take();
+        let mut done = 0;
         if !Pr::ACTIVE {
-            if let Some(d) = &delta {
-                // The hottest loop of the engine: no probe to feed, a frozen
-                // δ-table to look transitions up in. The step counters
-                // accumulate in registers (one read-modify-write of the
-                // `self` fields per batch, not per interaction), and an
-                // ineffective interaction skips its writes entirely — the
-                // store is what it read, so elision is unobservable, and it
-                // keeps no-ops (the vast majority away from the convergence
-                // frontier) from dirtying two random state-array lines.
-                let mut effective = 0u64;
-                let states = self.agents.states_mut();
-                for &(u, v) in &edges {
+            // The hottest loop of the engine, run while the memo is dense.
+            // Hits read the table through a local borrow, so its base and
+            // side stay in registers, and a pair the memo has not seen
+            // (`UNSET`, never equal to `(p, q)`) is caught on the rare
+            // effective branch, which keeps the common no-op path as short
+            // as a frozen table's. The step counters accumulate in
+            // registers (one read-modify-write of the `self` fields per
+            // batch, not per interaction), and an ineffective interaction
+            // skips its writes entirely — the store is what it read, so
+            // elision is unobservable, and it keeps no-ops (the vast
+            // majority away from the convergence frontier) from dirtying two
+            // random state-array lines.
+            let mut effective = 0u64;
+            let states = self.agents.states_mut();
+            let rt = &mut self.rt;
+            while let Some((table, side)) = rt.dense_memo() {
+                for &(u, v) in &edges[done..] {
                     let (p, q) = (states[u as usize], states[v as usize]);
-                    let r = d.lookup(p, q);
+                    let r = table[p.index() * side + q.index()];
                     if r != (p, q) {
+                        if r == UNSET {
+                            break;
+                        }
                         states[u as usize] = r.0;
                         states[v as usize] = r.1;
                         effective += 1;
+                        if let Some(w) = watch.as_deref_mut() {
+                            w.note(rt, (p, q), r, done);
+                        }
                     }
+                    done += 1;
                 }
-                self.steps += edges.len() as u64;
-                self.effective_steps += effective;
-                self.batch.edges = edges;
-                self.batch.delta = delta;
-                return;
+                let Some(&(u, v)) = edges.get(done) else { break };
+                // First sight of this pair: evaluate δ into the memo (it may
+                // intern states, grow the table or move it to the hash
+                // map), then retry the edge.
+                rt.transition(states[u as usize], states[v as usize]);
             }
+            self.steps += done as u64;
+            self.effective_steps += effective;
         }
-        for &(u, v) in &edges {
+        // With a probe, or past the dense cap: one memo call per edge.
+        for (i, &(u, v)) in edges.iter().enumerate().skip(done) {
             let (p, q) = (self.agents.state(u), self.agents.state(v));
-            let r = match &delta {
-                Some(d) => d.lookup(p, q),
-                None => self.rt.transition(p, q),
-            };
-            // Same store elision as the fast path above.
+            let r = self.rt.transition(p, q);
             if r != (p, q) {
                 self.agents.apply((u, v), r);
+                if let Some(w) = watch.as_deref_mut() {
+                    w.note(&self.rt, (p, q), r, i);
+                }
             }
             self.note_interaction((p, q), r);
         }
+        if let Some(w) = watch {
+            w.end_batch(edges.len());
+        }
         self.batch.edges = edges;
-        self.batch.delta = delta;
     }
 
-    /// Runs `steps` interactions through batched sampling and the frozen
-    /// `δ`-table.
+    /// Draws and applies `steps` interactions batch by batch, each batch in
+    /// a [`SpanKind::BatchSample`] and a [`SpanKind::BatchApply`] span.
+    #[inline(always)]
+    fn drive(
+        &mut self,
+        steps: u64,
+        mut watch: Option<&mut Watch<'_, P::Output>>,
+        rng: &mut impl RngCore,
+    ) -> Result<(), PopulationError> {
+        let mut remaining = steps;
+        while remaining > 0 {
+            let k = remaining.min(EPOCH_EDGES as u64) as usize;
+            self.fill_live_batch(k, rng)?;
+            if Tr::ACTIVE {
+                self.tracer.enter(SpanKind::BatchApply);
+            }
+            self.apply_batch(watch.as_deref_mut());
+            if Tr::ACTIVE {
+                self.tracer.exit(SpanKind::BatchApply, k as u64);
+            }
+            remaining -= k as u64;
+        }
+        Ok(())
+    }
+
+    /// Runs `steps` interactions through batched sampling.
     ///
-    /// Byte-identical to [`run`](Self::run) — same RNG stream, same
-    /// interaction sequence, same final states and step counters — just
-    /// faster, because scheduler draws are batched (independent random reads
-    /// overlap in the memory pipeline) and each transition is one dense
-    /// table load instead of a hash-map probe.
+    /// Byte-identical to [`run`](Self::run) under the conditions of the
+    /// [module docs](self) — same RNG stream, same interaction sequence,
+    /// same final states and step counters — just faster, because
+    /// scheduler draws are batched (independent random reads overlap in the
+    /// memory pipeline).
     ///
     /// # Errors
     ///
@@ -218,28 +296,38 @@ impl<P: Protocol, S: BatchPairSampler, Pr: Probe, Tr: Tracer> AgentSimulation<P,
         steps: u64,
         rng: &mut impl RngCore,
     ) -> Result<(), PopulationError> {
-        self.refresh_frozen_delta();
-        let mut remaining = steps;
-        while remaining > 0 {
-            let k = remaining.min(EPOCH_EDGES as u64) as usize;
-            if Tr::ACTIVE {
-                self.tracer.enter(SpanKind::BatchSample);
-            }
-            let fill = self.fill_live_batch(k, rng);
-            if Tr::ACTIVE {
-                self.tracer.exit(SpanKind::BatchSample, k as u64);
-            }
-            fill?;
-            if Tr::ACTIVE {
-                self.tracer.enter(SpanKind::BatchApply);
-            }
-            self.apply_batch_sequential();
-            if Tr::ACTIVE {
-                self.tracer.exit(SpanKind::BatchApply, k as u64);
-            }
-            remaining -= k as u64;
+        self.drive(steps, None, rng)
+    }
+
+    /// Runs `horizon` interactions and reports when the output assignment
+    /// last became (and stayed) `expected` on every live agent.
+    ///
+    /// The report is step-exact: it equals what a loop of
+    /// [`try_step_transitions`](Self::try_step_transitions) calls, checking
+    /// every agent's output after each one, would report under the
+    /// conditions of the [module docs](self). A starved schedule ends the
+    /// run early, with the report of the interactions applied so far: no
+    /// later interaction could have changed it.
+    pub fn measure_stabilization(
+        &mut self,
+        expected: &P::Output,
+        horizon: u64,
+        rng: &mut impl RngCore,
+    ) -> StabilizationReport {
+        let wrong = self.wrong_output_count(expected);
+        let mut watch = Watch {
+            expected,
+            ok: Vec::new(),
+            wrong,
+            last_wrong: (wrong > 0).then_some(0),
+            done: 0,
+        };
+        // Starvation is the only error, and it ends the run early.
+        let _ = self.drive(horizon, Some(&mut watch), rng);
+        StabilizationReport {
+            horizon,
+            stabilized_at: consensus_reached(watch.wrong, watch.last_wrong, 0),
         }
-        Ok(())
     }
 
     /// Stamps every edge of the buffered batch, in draw order, as
@@ -267,53 +355,58 @@ impl<P: Protocol, S: BatchPairSampler, Pr: Probe, Tr: Tracer> AgentSimulation<P,
         }
     }
 
-    /// Applies the buffered epoch: workers precompute every edge's
-    /// transition from the pre-epoch states in disjoint chunks, then the
-    /// main thread merges in draw order (precomputed where independent,
-    /// recomputed where conflicted).
+    /// Applies the buffered epoch: workers look up every edge's transition
+    /// from the pre-epoch states in disjoint chunks, then the main thread
+    /// merges in draw order (looked up where independent, computed where
+    /// conflicted or not memoized yet).
     fn apply_epoch(&mut self, threads: usize) {
         let edges = std::mem::take(&mut self.batch.edges);
         let mut results = std::mem::take(&mut self.batch.results);
         let independent = std::mem::take(&mut self.batch.independent);
-        let delta = self.batch.delta.take();
 
-        // Precompute from pre-epoch states. Only meaningful with a frozen
-        // table: without one, evaluating a transition may intern new states,
-        // and doing that from pre-epoch (possibly never-realized) pairs
-        // would assign state ids in a different order than the sequential
-        // engine — so the no-table fallback recomputes everything in the
-        // merge instead.
-        if let Some(d) = &delta {
-            results.clear();
-            results.resize(edges.len(), (StateId(0), StateId(0)));
-            let states = self.agents.states().as_slice();
-            if threads > 1 {
-                let chunk = edges.len().div_ceil(threads);
-                std::thread::scope(|scope| {
-                    for (es, rs) in edges.chunks(chunk).zip(results.chunks_mut(chunk)) {
-                        scope.spawn(move || {
-                            for (&(u, v), r) in es.iter().zip(rs.iter_mut()) {
-                                *r = d.lookup(states[u as usize], states[v as usize]);
-                            }
-                        });
+        // Workers only read the dense δ-memo, a shared slice: evaluating δ
+        // may intern a new state, and only the merge may do that, in draw
+        // order, so state ids match the sequential engine's. A pair the
+        // memo has not seen reads `UNSET` and is computed in the merge; past
+        // the dense cap there is no table and the merge computes every edge.
+        let precomputed = match self.rt.dense_memo() {
+            Some((table, side)) => {
+                results.clear();
+                results.resize(edges.len(), UNSET);
+                let states = self.agents.states().as_slice();
+                let lookup = move |(u, v): (u32, u32)| {
+                    table[states[u as usize].index() * side + states[v as usize].index()]
+                };
+                if threads > 1 {
+                    let chunk = edges.len().div_ceil(threads);
+                    std::thread::scope(|scope| {
+                        for (es, rs) in edges.chunks(chunk).zip(results.chunks_mut(chunk)) {
+                            scope.spawn(move || {
+                                for (&e, r) in es.iter().zip(rs.iter_mut()) {
+                                    *r = lookup(e);
+                                }
+                            });
+                        }
+                    });
+                } else {
+                    for (&e, r) in edges.iter().zip(results.iter_mut()) {
+                        *r = lookup(e);
                     }
-                });
-            } else {
-                for (&(u, v), r) in edges.iter().zip(results.iter_mut()) {
-                    *r = d.lookup(states[u as usize], states[v as usize]);
                 }
+                true
             }
-        }
+            None => false,
+        };
 
         for (i, &(u, v)) in edges.iter().enumerate() {
             let (p, q) = (self.agents.state(u), self.agents.state(v));
-            let r = match &delta {
-                // An independent edge's endpoints are untouched by earlier
-                // edges of the epoch, so the precomputed result is exactly
-                // what sequential execution would produce here.
-                Some(_) if independent[i] => results[i],
-                Some(d) => d.lookup(p, q),
-                None => self.rt.transition(p, q),
+            // An independent edge's endpoints are untouched by earlier edges
+            // of the epoch, so its looked-up result is exactly what
+            // sequential execution would produce here.
+            let r = if precomputed && independent[i] && results[i] != UNSET {
+                results[i]
+            } else {
+                self.rt.transition(p, q)
             };
             // Same store elision as the batched path: identity writes skip.
             if r != (p, q) {
@@ -325,7 +418,6 @@ impl<P: Protocol, S: BatchPairSampler, Pr: Probe, Tr: Tracer> AgentSimulation<P,
         self.batch.edges = edges;
         self.batch.results = results;
         self.batch.independent = independent;
-        self.batch.delta = delta;
     }
 
     /// Runs `steps` interactions, sharding each epoch of sampled edges
@@ -350,18 +442,10 @@ impl<P: Protocol, S: BatchPairSampler, Pr: Probe, Tr: Tracer> AgentSimulation<P,
         rng: &mut impl RngCore,
     ) -> Result<(), PopulationError> {
         let threads = threads.max(1);
-        self.refresh_frozen_delta();
         let mut remaining = steps;
         while remaining > 0 {
             let k = remaining.min(EPOCH_EDGES as u64) as usize;
-            if Tr::ACTIVE {
-                self.tracer.enter(SpanKind::BatchSample);
-            }
-            let fill = self.fill_live_batch(k, rng);
-            if Tr::ACTIVE {
-                self.tracer.exit(SpanKind::BatchSample, k as u64);
-            }
-            fill?;
+            self.fill_live_batch(k, rng)?;
             self.classify_epoch();
             if Tr::ACTIVE {
                 self.tracer.enter(SpanKind::BatchApply);
@@ -384,93 +468,6 @@ impl<P: Protocol, S: BatchPairSampler, Pr: Probe, Tr: Tracer> AgentSimulation<P,
         rng: &mut impl RngCore,
     ) -> Result<(), PopulationError> {
         self.run_epochs(steps, crate::ensemble::default_threads(), rng)
-    }
-
-    /// Batched counterpart of
-    /// [`measure_stabilization`](Self::measure_stabilization): runs up to
-    /// `horizon` interactions and reports when the output assignment last
-    /// became (and stayed) `expected` on every live agent.
-    ///
-    /// The incremental wrong-output accounting uses a per-state lookup table
-    /// instead of two runtime queries per state change, but tracks exactly
-    /// the same quantity, so the report matches the sequential measurement
-    /// on the same seed.
-    ///
-    /// # Errors
-    ///
-    /// [`PopulationError::StarvedSchedule`] if the schedule starves before
-    /// the horizon (the sequential method instead idles through the
-    /// remaining steps).
-    pub fn measure_stabilization_batched(
-        &mut self,
-        expected: &P::Output,
-        horizon: u64,
-        rng: &mut impl RngCore,
-    ) -> Result<StabilizationReport, PopulationError> {
-        self.refresh_frozen_delta();
-        let mut ok: Vec<bool> = self
-            .rt
-            .state_ids()
-            .map(|s| self.rt.output_value(self.rt.output_of(s)) == expected)
-            .collect();
-        let mut wrong = self.wrong_output_count(expected);
-        let mut last_wrong: Option<u64> = if wrong == 0 { None } else { Some(0) };
-        let start = self.steps;
-        let mut remaining = horizon;
-        while remaining > 0 {
-            let k = remaining.min(EPOCH_EDGES as u64) as usize;
-            if Tr::ACTIVE {
-                self.tracer.enter(SpanKind::BatchSample);
-            }
-            let fill = self.fill_live_batch(k, rng);
-            if Tr::ACTIVE {
-                self.tracer.exit(SpanKind::BatchSample, k as u64);
-            }
-            fill?;
-            if Tr::ACTIVE {
-                self.tracer.enter(SpanKind::BatchApply);
-            }
-            let edges = std::mem::take(&mut self.batch.edges);
-            let delta = self.batch.delta.take();
-            for &(u, v) in &edges {
-                let (p, q) = (self.agents.state(u), self.agents.state(v));
-                let r = match &delta {
-                    Some(d) => d.lookup(p, q),
-                    None => self.rt.transition(p, q),
-                };
-                // The no-table fallback can intern states mid-run; keep the
-                // per-state table in sync.
-                while ok.len() < self.rt.state_count() {
-                    let s = StateId(ok.len() as u32);
-                    ok.push(self.rt.output_value(self.rt.output_of(s)) == expected);
-                }
-                self.agents.apply((u, v), r);
-                self.note_interaction((p, q), r);
-                for (old, new) in [(p, r.0), (q, r.1)] {
-                    if old == new {
-                        continue;
-                    }
-                    match (ok[old.index()], ok[new.index()]) {
-                        (true, false) => wrong += 1,
-                        (false, true) => wrong -= 1,
-                        _ => {}
-                    }
-                }
-                if wrong > 0 {
-                    last_wrong = Some(self.steps - start);
-                }
-            }
-            self.batch.edges = edges;
-            self.batch.delta = delta;
-            if Tr::ACTIVE {
-                self.tracer.exit(SpanKind::BatchApply, k as u64);
-            }
-            remaining -= k as u64;
-        }
-        Ok(StabilizationReport {
-            horizon,
-            stabilized_at: consensus_reached(wrong, last_wrong, 0),
-        })
     }
 }
 
@@ -572,22 +569,56 @@ mod tests {
     }
 
     #[test]
-    fn measure_stabilization_batched_matches_sequential() {
+    fn measure_stabilization_matches_a_per_step_replay() {
         let n = 48;
-        let mut seq = AgentSimulation::from_inputs(
+        let mut bat = AgentSimulation::from_inputs(
             epidemic(),
             &inputs(n),
             UniformPairScheduler::new(n),
         );
-        let mut bat = AgentSimulation::from_inputs(
+        let mut seq = AgentSimulation::from_inputs(
             epidemic(),
             &inputs(n),
             UniformPairScheduler::new(n),
         );
         let mut rng_a = seeded_rng(19);
         let mut rng_b = seeded_rng(19);
-        let a = seq.measure_stabilization(&true, 30_000, &mut rng_a);
-        let b = bat.measure_stabilization_batched(&true, 30_000, &mut rng_b).unwrap();
-        assert_eq!(a, b);
+        let rep = bat.measure_stabilization(&true, 30_000, &mut rng_b);
+        // Per-step replay: the last interaction after which an agent was
+        // still healthy, plus one.
+        let mut last_wrong = Some(0);
+        for t in 1..=30_000u64 {
+            seq.step(&mut rng_a);
+            if seq.consensus_output() != Some(&true) {
+                last_wrong = Some(t);
+            }
+        }
+        assert_eq!(rep.horizon, 30_000);
+        assert_eq!(rep.stabilized_at, last_wrong.map(|t| t + 1));
+        assert!(rep.converged());
+        assert_eq!(seq.agents(), bat.agents());
+        assert_eq!(seq.effective_steps(), bat.effective_steps());
+        assert_eq!(rng_a.next_u64(), rng_b.next_u64());
+    }
+
+    #[test]
+    fn measure_stabilization_stops_on_a_starved_schedule() {
+        // Agents 4 and 5 stay live but share no edge, and agent 4 is
+        // healthy: the run can never stabilize, and must not spin.
+        let edges = [(0u32, 1u32), (1, 0), (2, 3), (3, 2)];
+        let mut sim = AgentSimulation::from_inputs(
+            epidemic(),
+            &[true, false, false, false, false, true],
+            EdgeListScheduler::new(6, edges.to_vec()),
+        );
+        for a in 0..=3 {
+            sim.crash_agent(a);
+        }
+        let mut rng = seeded_rng(3);
+        let rep = sim.measure_stabilization(&true, 1_000_000, &mut rng);
+        assert_eq!(rep.horizon, 1_000_000);
+        assert_eq!(rep.stabilized_at, None);
+        assert_eq!(sim.steps(), 0);
+        assert_eq!(rng.next_u64(), seeded_rng(3).next_u64());
     }
 }

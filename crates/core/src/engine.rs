@@ -786,9 +786,14 @@ impl<P: Protocol, Pr: Probe, Tr: Tracer> Simulation<P, Pr, Tr> {
     /// Because the closure covers every state any future configuration can
     /// contain, the returned table stays valid for the rest of the run;
     /// it is the input to [`leap`](Self::leap).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the closure passes
+    /// [`CLOSURE_STATE_CAP`](crate::registry::CLOSURE_STATE_CAP) states.
     pub fn reactive_pairs(&mut self) -> Vec<(StateId, StateId)> {
         let seeds: Vec<StateId> = self.config.support().map(|(s, _)| s).collect();
-        let total = self.rt.close_under_delta(&seeds);
+        let total = self.rt.close_under_delta(&seeds).unwrap_or_else(|e| panic!("{e}"));
         let mut reactive = Vec::new();
         for a in 0..total as u32 {
             for b in 0..total as u32 {
@@ -1474,45 +1479,6 @@ impl<P: Protocol, S: PairSampler, Pr: Probe, Tr: Tracer> AgentSimulation<P, S, P
                     && self.rt.output_value(self.rt.output_of(s)) != expected
             })
             .count() as u64
-    }
-
-    /// Runs `horizon` interactions and reports when the output assignment
-    /// last became (and stayed) `expected` on every agent.
-    pub fn measure_stabilization(
-        &mut self,
-        expected: &P::Output,
-        horizon: u64,
-        rng: &mut impl RngCore,
-    ) -> StabilizationReport {
-        let mut wrong = self.wrong_output_count(expected);
-        let mut last_wrong: Option<u64> = if wrong == 0 { None } else { Some(0) };
-        let start = self.steps;
-        if Tr::ACTIVE {
-            self.tracer.enter(SpanKind::SchedulerDraw);
-        }
-        for _ in 0..horizon {
-            if let Some((_, (p, q), (p2, q2))) = self.step_transitions(rng) {
-                for (old, new) in [(p, p2), (q, q2)] {
-                    if old == new {
-                        continue;
-                    }
-                    let was_ok = self.rt.output_value(self.rt.output_of(old)) == expected;
-                    let is_ok = self.rt.output_value(self.rt.output_of(new)) == expected;
-                    match (was_ok, is_ok) {
-                        (true, false) => wrong += 1,
-                        (false, true) => wrong -= 1,
-                        _ => {}
-                    }
-                }
-            }
-            if wrong > 0 {
-                last_wrong = Some(self.steps - start);
-            }
-        }
-        if Tr::ACTIVE {
-            self.tracer.exit(SpanKind::SchedulerDraw, horizon);
-        }
-        StabilizationReport { horizon, stabilized_at: consensus_reached(wrong, last_wrong, 0) }
     }
 }
 

@@ -52,7 +52,7 @@ use crate::faults::{
 };
 use crate::observe::Probe;
 use crate::protocol::Protocol;
-use crate::scheduler::PairSampler;
+use crate::scheduler::BatchPairSampler;
 use crate::trace::Tracer;
 
 pub use crate::json::{parse_json, JsonValue};
@@ -1301,10 +1301,11 @@ where
     Ok(RunOutcome::Ensemble(report))
 }
 
-/// Runs `spec` on the **agent engine** over an arbitrary scheduler:
-/// one trial or a deterministic ensemble. The caller (the resolver layer)
-/// materializes the topology and builds `mk_sampler`, one sampler per
-/// trial; `inputs` are per-agent inputs in spec order.
+/// Runs `spec` on the **agent engine** over any batch sampler: one trial
+/// or a deterministic ensemble, each trial through the batched
+/// [`AgentSimulation::measure_stabilization`]. The caller (the resolver
+/// layer) materializes the topology and builds `mk_sampler`, one sampler
+/// per trial; `inputs` are per-agent inputs in spec order.
 ///
 /// # Errors
 ///
@@ -1321,7 +1322,7 @@ where
     P: Protocol + Clone + Send + Sync,
     P::Input: Sync,
     P::Output: Sync,
-    S: PairSampler,
+    S: BatchPairSampler,
     F: Fn() -> S + Sync,
 {
     if spec.faults.is_some() {

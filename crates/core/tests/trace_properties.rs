@@ -7,6 +7,7 @@
 //! and faulted runs. Plus: [`SpanStats`] merge is exact on counters and
 //! folding per-trial tracers in trial order is thread-count invariant.
 
+use pp_core::agent_batch::EPOCH_EDGES;
 use pp_core::scheduler::UniformPairScheduler;
 use pp_core::{
     seeded_rng, AgentSimulation, Ensemble, FnProtocol, NoTracer, Protocol, Simulation, SpanKind,
@@ -160,7 +161,7 @@ proptest! {
     fn agent_engine_is_tracer_transparent(
         seed in 0u64..1_000,
         n in 4usize..48,
-        horizon in 100u64..4_000,
+        horizon in 100u64..10_000,
     ) {
         let inputs: Vec<bool> = (0..n).map(|i| i == 0).collect();
         let base = {
@@ -176,7 +177,15 @@ proptest! {
                 .with_tracer(SpanStats::new());
             let mut rng = seeded_rng(seed);
             let rep = sim.measure_stabilization(&true, horizon, &mut rng);
-            prop_assert_eq!(sim.tracer().count(SpanKind::SchedulerDraw), 1);
+            // One sample and one apply span per batch of at most
+            // EPOCH_EDGES draws; between them they cover the horizon.
+            let spans = sim.tracer();
+            let batches = horizon.div_ceil(EPOCH_EDGES as u64);
+            for kind in [SpanKind::BatchSample, SpanKind::BatchApply] {
+                prop_assert_eq!(spans.count(kind), batches);
+                prop_assert_eq!(spans.items(kind), horizon);
+            }
+            prop_assert_eq!(spans.count(SpanKind::SchedulerDraw), 0);
             (rep, sim.steps(), sim.effective_steps(), drain(&mut rng))
         };
         prop_assert_eq!(base, traced);

@@ -154,10 +154,15 @@ pub fn one_way_count_threshold(
 /// Checks that every transition in the (explored) table leaves the
 /// initiator unchanged. Explores the state space reachable from the given
 /// inputs by closing under `δ`.
+///
+/// # Panics
+///
+/// Panics if the closure passes
+/// [`CLOSURE_STATE_CAP`](pp_core::registry::CLOSURE_STATE_CAP) states.
 pub fn is_one_way<P: Protocol>(protocol: P, inputs: &[P::Input]) -> bool {
     let mut rt = DenseRuntime::new(protocol);
     let seeds: Vec<StateId> = inputs.iter().map(|x| rt.intern_input(x)).collect();
-    let n = rt.close_under_delta(&seeds);
+    let n = rt.close_under_delta(&seeds).unwrap_or_else(|e| panic!("{e}"));
     for a in 0..n as u32 {
         for b in 0..n as u32 {
             let (p2, _) = rt.transition(StateId(a), StateId(b));

@@ -34,9 +34,7 @@ fn epidemic_on_torus_converges_batched() {
     let mut rng = seeded_rng(23);
     // On a torus the epidemic needs O(n · diameter) interactions; 400n is
     // comfortable at side 16.
-    let rep = sim
-        .measure_stabilization_batched(&true, 400 * n as u64, &mut rng)
-        .unwrap();
+    let rep = sim.measure_stabilization(&true, 400 * n as u64, &mut rng);
     assert!(rep.converged(), "epidemic must cover the torus");
     assert_eq!(sim.consensus_output(), Some(&true));
     // The epidemic infects exactly n − 1 agents, one per effective step.
@@ -56,9 +54,7 @@ fn epidemic_on_3d_torus_converges_batched() {
     let mut sim =
         AgentSimulation::from_inputs(epidemic(), &patient_zero(n), g.scheduler());
     let mut rng = seeded_rng(24);
-    let rep = sim
-        .measure_stabilization_batched(&true, 400 * n as u64, &mut rng)
-        .unwrap();
+    let rep = sim.measure_stabilization(&true, 400 * n as u64, &mut rng);
     assert!(rep.converged(), "epidemic must cover the 3D torus");
     assert_eq!(sim.consensus_output(), Some(&true));
     assert_eq!(sim.effective_steps(), n as u64 - 1);

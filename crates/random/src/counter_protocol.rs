@@ -290,7 +290,7 @@ mod tests {
             .into_iter()
             .map(|(s, _)| rt.intern(s))
             .collect();
-        let n = rt.close_under_delta(&seeds);
+        let n = rt.close_under_delta(&seeds).unwrap();
         // 3 instructions × 3 streaks + followers {0,1}²×{timer} — well
         // under 50 states.
         assert!(n < 50, "state space blew up: {n}");

@@ -500,7 +500,13 @@ where
     // cache key is protocol identity + the support's state ids.
     let support_ids: Vec<u32> = support.iter().map(|s| s.0).collect();
     let drift_key = format!("{key}|support:{support_ids:?}");
-    let field = lock(&cache.drift).get_or_derive(&drift_key, sim.runtime_mut(), &support);
+    let field = lock(&cache.drift)
+        .get_or_derive(&drift_key, sim.runtime_mut(), &support)
+        .map_err(|e| {
+            SpecError::Unsupported(format!(
+                "mean-field closes the state space under δ: {e}"
+            ))
+        })?;
     let init: Vec<f64> =
         sim.config().as_slice().iter().map(|&c| c as f64 / n as f64).collect();
     let population = mf.population.unwrap_or(n);

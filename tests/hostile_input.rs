@@ -4,12 +4,13 @@
 //! request bodies on worker threads. A body of deeply nested `[` that
 //! overflowed a worker stack would abort the whole process (a stack
 //! overflow cannot be caught), so this file boots a real server and sends
-//! one, and populations whose total does not fit in a `u64`. It also
-//! pins the codec's writer to the checked-in wire format:
-//! every server golden and bench history record re-renders to its exact
-//! bytes.
+//! one, populations whose total does not fit in a `u64`, and mean-field
+//! and agents-engine runs of a protocol with a million reachable states.
+//! It also pins the codec's writer to the checked-in wire format: every
+//! server golden and bench history record re-renders to its exact bytes.
 
 use std::path::Path;
+use std::time::{Duration, Instant};
 
 use population_protocols::core::json::{parse_json, MAX_DEPTH};
 use population_protocols::server::{client, serve, ServerConfig};
@@ -69,6 +70,57 @@ fn population_total_past_u64_is_too_large_not_a_crash() {
         assert!(resp.text().contains("\"code\":\"population_too_large\""), "{}", resp.text());
         assert_eq!(client::get(s.addr(), "/healthz").unwrap().status, 200);
     }
+    s.shutdown();
+}
+
+#[test]
+fn mean_field_past_the_closure_cap_is_a_fast_4xx_not_a_hang() {
+    let s = serve(
+        "127.0.0.1:0",
+        ServerConfig {
+            threads: 1,
+            ..ServerConfig::default()
+        },
+    )
+    .expect("bind loopback");
+    // count-to-k reaches every count 0..=k; the mean-field drift is built
+    // on the δ-closure, which used to enumerate all k² pairs.
+    let body = r#"{"protocol":{"name":"count-to-k","k":1000000},"population":{"1":50,"0":50},"seed":1,"engine":"mean-field"}"#;
+    let t0 = Instant::now();
+    let resp = client::post(s.addr(), "/v1/run", body).unwrap();
+    let elapsed = t0.elapsed();
+    assert_eq!(resp.status, 400, "{}", resp.text());
+    assert!(
+        resp.text().starts_with("{\"schema\":\"pp-error/v1\",\"code\":\"unsupported\""),
+        "{}",
+        resp.text()
+    );
+    assert!(resp.text().contains("more than 256 distinct states"), "{}", resp.text());
+    assert!(elapsed < Duration::from_secs(1), "refused after {elapsed:?}");
+    let health = client::get(s.addr(), "/healthz").unwrap();
+    assert_eq!(health.status, 200);
+    s.shutdown();
+}
+
+#[test]
+fn agents_count_to_a_million_runs_without_a_closure() {
+    // The agents engine looks transitions up lazily: only the counts the
+    // run reaches are ever interned, so k = 10⁶ costs what k = 10 does.
+    let s = serve(
+        "127.0.0.1:0",
+        ServerConfig {
+            threads: 1,
+            ..ServerConfig::default()
+        },
+    )
+    .expect("bind loopback");
+    let body = r#"{"protocol":{"name":"count-to-k","k":1000000},"population":{"1":8,"0":8},"seed":1,"engine":"agents","topology":{"kind":"line"}}"#;
+    let t0 = Instant::now();
+    let resp = client::post(s.addr(), "/v1/run", body).unwrap();
+    let elapsed = t0.elapsed();
+    assert_eq!(resp.status, 200, "{}", resp.text());
+    assert!(resp.text().contains("\"outputs\":{\"false\":16}"), "{}", resp.text());
+    assert!(elapsed < Duration::from_secs(5), "ran for {elapsed:?}");
     s.shutdown();
 }
 
