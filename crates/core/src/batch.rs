@@ -102,7 +102,15 @@
 //! # When to use what
 //!
 //! * [`Simulation::run_batched`] — large populations (n ≳ 10⁴), *before*
-//!   convergence, when most interactions still change state.
+//!   convergence, when most interactions still change state. Below a few
+//!   hundred agents a window covers too few interactions to pay for its
+//!   sweep: E19's crossover rows (a fresh simulation, 2·10⁵ interactions)
+//!   put windows at 0.27–0.64× the speed of [`Simulation::run`] for
+//!   n ≤ 100, break-even near n = 316 for approximate majority and near
+//!   n = 1000 for exact majority. `RunSpec` requests below
+//!   [`BATCHED_MIN_POPULATION`](crate::spec::BATCHED_MIN_POPULATION)
+//!   agents therefore step sequentially even when they ask for
+//!   `"engine": "batched"`.
 //! * [`Simulation::leap`] — *after* effective convergence, when almost all
 //!   interactions are no-ops: it fast-forwards the no-op geometric tail in
 //!   closed form, which batching does not.

@@ -14,7 +14,8 @@
 //!   it fixes the state-interning order and therefore the RNG stream),
 //! * a seed and seed mode,
 //! * an engine selection (sequential / batched / agents-on-a-topology /
-//!   mean-field),
+//!   mean-field; a batched request below [`BATCHED_MIN_POPULATION`]
+//!   agents steps sequentially),
 //! * a trial count and thread count (1 trial = a single deterministic run,
 //!   more = a [`Ensemble`] with byte-identical
 //!   reports at any thread count),
@@ -98,6 +99,18 @@ pub enum SpecError {
         /// The configured cap.
         max: u64,
     },
+    /// An edge-list topology would materialize more directed edges than
+    /// the server's materialization cap.
+    TopologyTooLarge {
+        /// The topology kind.
+        kind: &'static str,
+        /// Requested population.
+        n: u64,
+        /// Directed edges it would materialize.
+        edges: u64,
+        /// The configured cap.
+        max: u64,
+    },
     /// Formula parsing or compilation failed.
     Compile(String),
     /// The engine/stop/fault combination is not supported.
@@ -118,6 +131,7 @@ impl SpecError {
             SpecError::UnknownSymbol { .. } => "unknown_symbol",
             SpecError::PopulationTooSmall(_) => "population_too_small",
             SpecError::PopulationTooLarge { .. } => "population_too_large",
+            SpecError::TopologyTooLarge { .. } => "topology_too_large",
             SpecError::Compile(_) => "compile_error",
             SpecError::Unsupported(_) => "unsupported",
             SpecError::Internal(_) => "internal",
@@ -127,7 +141,7 @@ impl SpecError {
     /// The HTTP status the error maps to.
     pub fn http_status(&self) -> u16 {
         match self {
-            SpecError::PopulationTooLarge { .. } => 413,
+            SpecError::PopulationTooLarge { .. } | SpecError::TopologyTooLarge { .. } => 413,
             SpecError::Internal(_) => 500,
             _ => 400,
         }
@@ -173,6 +187,11 @@ impl fmt::Display for SpecError {
             SpecError::PopulationTooLarge { n, max } => {
                 write!(f, "population {n} exceeds the materialization cap {max}")
             }
+            SpecError::TopologyTooLarge { kind, n, edges, max } => write!(
+                f,
+                "topology {kind:?} on {n} agents has {edges} directed edges, \
+                 past the materialization cap {max}"
+            ),
             SpecError::Compile(detail) => write!(f, "{detail}"),
             SpecError::Unsupported(detail) => write!(f, "unsupported request: {detail}"),
             SpecError::Internal(detail) => write!(f, "internal error: {detail}"),
@@ -213,7 +232,9 @@ pub enum ProtocolRef {
 pub enum EngineSel {
     /// One interaction at a time on the count configuration.
     Sequential,
-    /// The Θ(√n)-per-sweep batched count engine.
+    /// The Θ(√n)-per-sweep batched count engine, from
+    /// [`BATCHED_MIN_POPULATION`] agents; a smaller population steps
+    /// sequentially, with the same law and a step-exact `stabilized_at`.
     Batched,
     /// Per-agent simulation on an interaction topology (Theorem 7 wrap).
     Agents,
@@ -1129,7 +1150,28 @@ fn outputs_of<O: fmt::Debug>(histogram: Vec<(O, u64)>) -> Vec<(String, u64)> {
     histogram.into_iter().map(|(o, c)| (format!("{o:?}"), c)).collect()
 }
 
-/// Whether `spec` runs on the batched count engine (`false`: sequential).
+/// The smallest population on which an `engine: "batched"` request runs
+/// on windows ([`Simulation::run_batched`] and
+/// [`Simulation::measure_stabilization_batched`]). A smaller batched
+/// request steps sequentially: both engines sample the same uniform-pairing
+/// chain, so the law is the same, the report is the sequential engine's
+/// byte for byte, and `stabilized_at` is step-exact rather than the first
+/// step of the final window.
+///
+/// Windows pay off only once each one covers many interactions. E19's
+/// `crossover_step` / `crossover_windows` rows
+/// (`BENCH_e19_batched_throughput.json`: a fresh simulation, best of 7
+/// runs of 2·10⁵ interactions, one CPU) put sequential stepping ahead at
+/// n ∈ {10, 32, 100} for both exact and approximate majority, with windows
+/// at 0.27–0.64× its speed. At n = 316 approximate majority breaks even
+/// (1.06×) and exact majority still loses (0.73×); at n = 1000 windows win
+/// 2.0× and 1.07×. 256 sits below every measured crossover, and it keeps
+/// E20's n = 256 row on windows.
+pub const BATCHED_MIN_POPULATION: u64 = 256;
+
+/// Whether `spec` selects the batched count engine (`false`: sequential).
+/// Validation (consensus and faults run sequentially) keys on this, so a
+/// batched request is refused the same way at any population.
 fn count_engine_batched(spec: &RunSpec) -> Result<bool, SpecError> {
     match spec.engine {
         EngineSel::Sequential => Ok(false),
@@ -1148,6 +1190,8 @@ fn consensus_needs_sequential() -> SpecError {
 /// Runs one trial of `sim` on the count engine under `spec`'s stop
 /// condition — stabilization, first consensus, or a fixed number of
 /// steps, sequential or batched — drawing from `seeded_rng(spec.seed)`.
+/// A batched spec below [`BATCHED_MIN_POPULATION`] agents steps
+/// sequentially.
 /// Generic over the simulation's probe and tracer, so a streamed run
 /// (a [`JsonlSink`](crate::observe::JsonlSink)-probed simulation) and a
 /// plain one take the same path and report the same [`SingleRun`].
@@ -1167,11 +1211,12 @@ where
     Tr: Tracer,
 {
     let batched = count_engine_batched(spec)?;
+    let windows = batched && spec.population_size() >= BATCHED_MIN_POPULATION;
     let mut horizon = spec.effective_horizon();
     let mut rng = seeded_rng(spec.seed);
     let (stabilized_at, silent_tail) = match spec.stop {
         StopCondition::Stabilization => {
-            let rep = if batched {
+            let rep = if windows {
                 sim.measure_stabilization_batched(expected, horizon, &mut rng)
             } else {
                 sim.measure_stabilization(expected, horizon, &mut rng)
@@ -1182,7 +1227,7 @@ where
         StopCondition::Consensus if batched => return Err(consensus_needs_sequential()),
         StopCondition::Consensus => (sim.run_until_consensus(expected, horizon, &mut rng), 0),
         StopCondition::FixedSteps => {
-            if batched {
+            if windows {
                 sim.run_batched(horizon, &mut rng);
             } else {
                 sim.run(horizon, &mut rng);
@@ -1208,7 +1253,8 @@ where
 ///
 /// `pairs` are `(input, count)` in spec order (order fixes interning and
 /// the RNG stream), `expected` is the ground-truth output measured
-/// against.
+/// against. As in [`run_single`], a batched spec below
+/// [`BATCHED_MIN_POPULATION`] agents steps sequentially.
 ///
 /// # Errors
 ///
@@ -1227,6 +1273,7 @@ where
 {
     let horizon = spec.effective_horizon();
     let batched = count_engine_batched(spec)?;
+    let windows = batched && spec.population_size() >= BATCHED_MIN_POPULATION;
     let make = |_trial: u64| {
         Simulation::from_counts(protocol.clone(), pairs.iter().cloned())
     };
@@ -1281,7 +1328,7 @@ where
     let report = match spec.stop {
         StopCondition::Stabilization => ens.summarize(|trial, rng| {
             let mut sim = make(trial);
-            let rep = if batched {
+            let rep = if windows {
                 sim.measure_stabilization_batched(expected, horizon, rng)
             } else {
                 sim.measure_stabilization(expected, horizon, rng)

@@ -266,6 +266,7 @@ fn execute_inner<W: std::io::Write>(
     sink: StreamSink<'_, W>,
 ) -> Result<(RunReport, CacheStatus), SpecError> {
     check_population(spec, opts.max_population)?;
+    check_edge_list(spec, opts.max_population)?;
     match &spec.protocol {
         ProtocolRef::Name { name, params } => {
             let named = registry::resolve_named(name, params)?;
@@ -303,6 +304,32 @@ fn execute_inner<W: std::io::Write>(
             Ok((report, status))
         }
     }
+}
+
+/// Refuses an agents-engine spec whose edge-list topology would hold more
+/// directed edges than `max`, before anything is built: `complete` on n
+/// agents holds n(n−1), and `random` draws a coin for each of those pairs.
+/// The torus topologies are CSR stencils and are not edge lists.
+///
+/// # Errors
+///
+/// [`SpecError::TopologyTooLarge`] past `max`.
+fn check_edge_list(spec: &RunSpec, max: u64) -> Result<(), SpecError> {
+    if spec.engine != EngineSel::Agents {
+        return Ok(());
+    }
+    let n = spec.population_size();
+    let topo = spec.topology.as_ref().unwrap_or(&TopologySpec::Complete);
+    let edges = match topo {
+        TopologySpec::Complete | TopologySpec::Random { .. } => n.saturating_mul(n - 1),
+        TopologySpec::Line | TopologySpec::Star => 2 * (n - 1),
+        TopologySpec::Cycle => 2 * n,
+        TopologySpec::Torus2d { .. } | TopologySpec::Torus3d { .. } => return Ok(()),
+    };
+    if edges > max {
+        return Err(SpecError::TopologyTooLarge { kind: topo.kind(), n, edges, max });
+    }
+    Ok(())
 }
 
 /// The generic engine router: everything after protocol resolution.

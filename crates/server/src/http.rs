@@ -162,6 +162,8 @@ fn status_text(code: u16) -> &'static str {
     }
 }
 
+/// Writes head and body with one `write_all`, so a small response leaves
+/// in one segment instead of a head segment followed by a body segment.
 fn write_response(stream: &mut TcpStream, resp: &Response) {
     let mut head = format!(
         "HTTP/1.1 {} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n",
@@ -176,9 +178,9 @@ fn write_response(stream: &mut TcpStream, resp: &Response) {
         head.push_str("\r\n");
     }
     head.push_str("\r\n");
-    let _ = stream.write_all(head.as_bytes());
-    let _ = stream.write_all(&resp.body);
-    let _ = stream.flush();
+    let mut out = head.into_bytes();
+    out.extend_from_slice(&resp.body);
+    let _ = stream.write_all(&out);
 }
 
 /// Reads one request. `Err(Some(resp))` means "answer with this error";

@@ -4,7 +4,8 @@
 //! request bodies on worker threads. A body of deeply nested `[` that
 //! overflowed a worker stack would abort the whole process (a stack
 //! overflow cannot be caught), so this file boots a real server and sends
-//! one, populations whose total does not fit in a `u64`, and mean-field
+//! one, populations whose total does not fit in a `u64`, an agents-engine
+//! run whose complete topology would not fit in memory, and mean-field
 //! and agents-engine runs of a protocol with a million reachable states.
 //! It also pins the codec's writer to the checked-in wire format: every
 //! server golden and bench history record re-renders to its exact bytes.
@@ -99,6 +100,35 @@ fn mean_field_past_the_closure_cap_is_a_fast_4xx_not_a_hang() {
     assert!(elapsed < Duration::from_secs(1), "refused after {elapsed:?}");
     let health = client::get(s.addr(), "/healthz").unwrap();
     assert_eq!(health.status, 200);
+    s.shutdown();
+}
+
+#[test]
+fn agents_complete_topology_past_the_edge_cap_is_a_fast_413() {
+    // With no topology the agents engine runs on the complete graph,
+    // whose edge list on 10⁵ agents holds ≈ 10¹⁰ directed edges (80 GB):
+    // far under the population cap, far past what may be materialized.
+    let s = serve(
+        "127.0.0.1:0",
+        ServerConfig {
+            threads: 1,
+            ..ServerConfig::default()
+        },
+    )
+    .expect("bind loopback");
+    let body = r#"{"protocol":{"name":"count-to-k","k":3},"population":{"1":100000},"seed":1,"engine":"agents"}"#;
+    let t0 = Instant::now();
+    let resp = client::post(s.addr(), "/v1/run", body).unwrap();
+    let elapsed = t0.elapsed();
+    assert_eq!(resp.status, 413, "{}", resp.text());
+    assert!(
+        resp.text().starts_with("{\"schema\":\"pp-error/v1\",\"code\":\"topology_too_large\""),
+        "{}",
+        resp.text()
+    );
+    assert!(resp.text().contains("9999900000 directed edges"), "{}", resp.text());
+    assert!(elapsed < Duration::from_secs(1), "refused after {elapsed:?}");
+    assert_eq!(client::get(s.addr(), "/healthz").unwrap().status, 200);
     s.shutdown();
 }
 

@@ -6,7 +6,9 @@
 //! too, whose windows feed it without changing the sampler (see
 //! `pp_core::batch`) — so that report's `result` is exactly the `result`
 //! of `execute` on the same spec without the probe, for every engine and
-//! stop condition. Combinations the stream refuses must be refused with
+//! stop condition. One population has 300 agents, so its batched runs are
+//! on windows; the other two are below `BATCHED_MIN_POPULATION` and step
+//! sequentially. Combinations the stream refuses must be refused with
 //! the same error by both paths.
 
 use population_protocols::core::json::{parse_json, JsonValue};
@@ -20,8 +22,9 @@ fn specs() -> Vec<RunSpec> {
     let formula = ProtocolRef::Formula("a > b + 1".to_string());
     let mut out = Vec::new();
     for (protocol, population) in [
-        (majority, vec![("1".to_string(), 7), ("0".to_string(), 5)]),
+        (majority.clone(), vec![("1".to_string(), 7), ("0".to_string(), 5)]),
         (formula, vec![("a".to_string(), 9), ("b".to_string(), 4)]),
+        (majority, vec![("1".to_string(), 160), ("0".to_string(), 140)]),
     ] {
         for seed in [1, 29] {
             for (engine, stop) in [
