@@ -24,6 +24,20 @@
 //!   not speedup; its purpose here is the byte-identity guarantee, which is
 //!   hard-asserted below at every thread count.
 //!
+//! Two sets of `csr_batched` rows time the apply kernel where effective
+//! interactions are common, which the epidemic (≈ 99.9% no-ops once it has
+//! spread) never shows. Each carries a `protocol` cell and `share`, the
+//! effective share of the run's interactions:
+//!
+//! * `approximate-majority` — the Theorem 7 `GraphSimulator` over
+//!   approximate majority, 60/40 inputs in spec order (ones first), at
+//!   n = 10⁴ and 10⁶: the `engine: "agents"` workload.
+//! * `swap` — tokens that random-walk by swapping places, at token
+//!   densities 1/2 … 1/256 (placed independently, the walk's stationary
+//!   law, so the share stays put): a sweep of the effective share at
+//!   n = 10⁴ and 10⁶, from which the kernel's switch between its eliding
+//!   and storing loop bodies is derived (EXPERIMENTS.md E23).
+//!
 //! Non-smoke, the bench hard-asserts `boxed_seq / csr_batched ≥ 5` at the
 //! largest population every engine runs (n ≈ 10⁷ ≥ 10⁶) — the PR's
 //! acceptance floor, enforced where the margin is widest (≈7× measured,
@@ -35,9 +49,10 @@ use std::time::Instant;
 
 use pp_bench::{fmt, print_header, BenchReport};
 use pp_core::trace::RunManifest;
-use rand::RngCore;
+use rand::{Rng, RngCore};
 use pp_core::{seeded_rng, AgentSimulation, FnProtocol, Protocol, Welford};
-use pp_graphs::{torus2d, torus2d_csr};
+use pp_graphs::{torus2d, torus2d_csr, CsrGraph};
+use pp_protocols::{ApproximateMajority, GraphSimulator};
 
 fn epidemic() -> impl Protocol<State = bool, Input = bool, Output = bool> {
     FnProtocol::new(
@@ -49,6 +64,28 @@ fn epidemic() -> impl Protocol<State = bool, Input = bool, Output = bool> {
 
 fn patient_zero(n: usize) -> Vec<bool> {
     (0..n).map(|i| i == 0).collect()
+}
+
+/// Tokens that random-walk by swapping: an interaction is effective iff
+/// exactly one of the two agents holds a token.
+fn swap() -> impl Protocol<State = bool, Input = bool, Output = bool> {
+    FnProtocol::new(|&b: &bool| b, |&q: &bool| q, |&p: &bool, &q: &bool| (q, p))
+}
+
+/// Times `run_batched` of `protocol` from `inputs` on `csr` as
+/// [`time_blocks`] does, returning (mean, std) ns/interaction and the
+/// effective share of every interaction run (warmup included).
+fn time_batched<P: Protocol>(
+    protocol: P,
+    inputs: &[P::Input],
+    csr: &CsrGraph,
+    k: u64,
+    reps: u64,
+) -> (f64, f64, f64) {
+    let mut sim = AgentSimulation::from_inputs(protocol, inputs, csr.scheduler());
+    let mut rng = seeded_rng(5);
+    let (ns, std) = time_blocks(|steps| sim.run_batched(steps, &mut rng).unwrap(), k, reps);
+    (ns, std, sim.effective_steps() as f64 / sim.steps() as f64)
 }
 
 /// Times `reps` measured blocks of `k` interactions on one simulation
@@ -250,6 +287,45 @@ fn main() {
             reps,
         );
         push(&mut report, "csr_sharded_t2", n, ns, std, None);
+    }
+
+    print_header(
+        &["protocol", "n", "ns/interaction", "std", "share"],
+        &[26, 14, 14, 9, 9],
+    );
+    let mut push_share = |protocol: &str, n: usize, (ns, std, share): (f64, f64, f64)| {
+        println!(
+            "{:>26} {:>14} {:>14} {:>9} {:>9}",
+            protocol,
+            n,
+            fmt(ns),
+            fmt(std),
+            fmt(share),
+        );
+        let row: Vec<(&str, pp_bench::JsonValue)> = vec![
+            ("case", "csr_batched".to_string().into()),
+            ("protocol", protocol.to_string().into()),
+            ("n", (n as u64).into()),
+            ("ns_per_step", ns.into()),
+            ("ns_per_step_std", std.into()),
+            ("share", share.into()),
+        ];
+        report.push_row(row);
+    };
+    let share_sides: &[usize] = if smoke { &[100] } else { &[100, 1_000] };
+    for &side in share_sides {
+        let n = side * side;
+        let csr = torus2d_csr(side, side);
+        let ones = n * 3 / 5;
+        let votes: Vec<bool> = (0..n).map(|i| i < ones).collect();
+        let am = GraphSimulator::new(ApproximateMajority);
+        push_share("approximate-majority", n, time_batched(am, &votes, &csr, k, reps));
+        for every in [2u32, 8, 16, 32, 64, 256] {
+            let mut place = seeded_rng(u64::from(every));
+            let tokens: Vec<bool> = (0..n).map(|_| place.gen_range(0..every) == 0).collect();
+            let protocol = format!("swap(1/{every})");
+            push_share(&protocol, n, time_batched(swap(), &tokens, &csr, k, reps));
+        }
     }
 
     report.write();

@@ -21,6 +21,7 @@
 
 use std::collections::HashMap;
 
+use pp_core::agent_batch::EPOCH_EDGES;
 use pp_core::scheduler::{
     BatchPairSampler, CsrScheduler, EdgeListScheduler, UniformPairScheduler,
 };
@@ -221,16 +222,37 @@ where
     P: Protocol,
     S: BatchPairSampler + Clone,
 {
-    let plain = |per_step| {
-        let sim = AgentSimulation::from_inputs(mk(), inputs, sampler.clone());
-        stabilization_trace(sim, expected, horizon, seed, per_step)
+    assert_crashed_stabilization_matches_per_step(mk, inputs, expected, sampler, &[], horizon, seed)
+}
+
+/// [`assert_stabilization_matches_per_step`] with the agents `crashed`
+/// crashed before the run starts.
+fn assert_crashed_stabilization_matches_per_step<P, S>(
+    mk: impl Fn() -> P,
+    inputs: &[P::Input],
+    expected: &P::Output,
+    sampler: S,
+    crashed: &[u32],
+    horizon: u64,
+    seed: u64,
+) -> Result<(), TestCaseError>
+where
+    P: Protocol,
+    S: BatchPairSampler + Clone,
+{
+    let fresh = || {
+        let mut sim = AgentSimulation::from_inputs(mk(), inputs, sampler.clone());
+        for &a in crashed {
+            assert!(sim.crash_agent(a), "agent {a} crashed twice");
+        }
+        sim
     };
+    let plain = |per_step| stabilization_trace(fresh(), expected, horizon, seed, per_step);
     let ((unified, NoProbe), (oracle, NoProbe)) = (plain(false), plain(true));
     prop_assert_eq!(&unified, &oracle, "unprobed");
 
     let probed = |per_step| {
-        let sim = AgentSimulation::from_inputs(mk(), inputs, sampler.clone())
-            .with_probe(MetricsProbe::new());
+        let sim = fresh().with_probe(MetricsProbe::new());
         stabilization_trace(sim, expected, horizon, seed, per_step)
     };
     let ((run, probe), (run_oracle, probe_oracle)) = (probed(false), probed(true));
@@ -326,6 +348,95 @@ proptest! {
     ) {
         let sampler = CsrScheduler::new(n as usize, &irregular_edges(n));
         assert_all_protocols(n as usize, sampler, horizon, seed)?;
+    }
+}
+
+/// Effective interactions of each `EPOCH_EDGES`-interaction batch of a
+/// per-step replay of `horizon` interactions.
+fn effective_per_batch<P: Protocol, S: BatchPairSampler>(
+    mut sim: AgentSimulation<P, S>,
+    horizon: u64,
+    seed: u64,
+) -> Vec<u64> {
+    let mut rng = seeded_rng(seed);
+    let mut counts = Vec::new();
+    let mut done = 0;
+    while done < horizon {
+        let k = (horizon - done).min(EPOCH_EDGES as u64);
+        let before = sim.effective_steps();
+        for _ in 0..k {
+            sim.step(&mut rng);
+        }
+        counts.push(sim.effective_steps() - before);
+        done += k;
+    }
+    counts
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// Approximate majority from a near-tie: its early batches are mostly
+    /// effective and its consensus tail is all no-ops, so the apply kernel
+    /// runs both loop bodies (it switches between them at a share of
+    /// effective interactions between 1/64 and 1/4) and must still match
+    /// the per-step oracle field for field.
+    #[test]
+    fn prop_stabilization_matches_per_step_across_both_loop_bodies(seed in 0u64..1_000) {
+        let n = 2_001;
+        let horizon = 200_000;
+        let inputs: Vec<u8> = (0..n).map(|i| u8::from(i % 2 == 0)).collect();
+        let per_batch = effective_per_batch(
+            AgentSimulation::from_inputs(approx_majority(), &inputs, UniformPairScheduler::new(n)),
+            horizon,
+            seed,
+        );
+        let busy = EPOCH_EDGES as u64 / 4;
+        let quiet = EPOCH_EDGES as u64 / 64;
+        let first_busy = per_batch.iter().position(|&e| e >= busy);
+        prop_assert!(first_busy.is_some(), "no busy batch: {:?}", per_batch);
+        prop_assert!(
+            per_batch[first_busy.unwrap()..].iter().any(|&e| e <= quiet),
+            "no quiet batch after a busy one: {:?}",
+            per_batch
+        );
+        assert_stabilization_matches_per_step(
+            approx_majority,
+            &inputs,
+            &1,
+            UniformPairScheduler::new(n),
+            horizon,
+            seed,
+        )?;
+    }
+
+    /// Agents crashed before the run on a masked torus: the kernel's
+    /// wrong-output count covers live agents only, so the run still
+    /// stabilizes although the crashed minority agents stay wrong.
+    #[test]
+    fn prop_stabilization_matches_per_step_with_crashed_agents(seed in 0u64..1_000) {
+        let side = 12u32;
+        let n = (side * side) as usize;
+        // One agent in three votes 0; crash four of them, spread out.
+        let inputs: Vec<u8> = (0..n).map(|i| u8::from(i % 3 != 0)).collect();
+        let crashed = [0u32, 39, 78, 117];
+        assert!(crashed.iter().all(|&a| inputs[a as usize] == 0));
+        let sampler = CsrScheduler::new(n, &torus_edges(side));
+        assert_crashed_stabilization_matches_per_step(
+            approx_majority,
+            &inputs,
+            &1,
+            sampler.clone(),
+            &crashed,
+            60_000,
+            seed,
+        )?;
+        let mut sim = AgentSimulation::from_inputs(approx_majority(), &inputs, sampler);
+        for a in crashed {
+            sim.crash_agent(a);
+        }
+        let rep = sim.measure_stabilization(&1, 60_000, &mut seeded_rng(seed));
+        prop_assert!(rep.converged(), "live agents never agreed: {:?}", rep);
     }
 }
 

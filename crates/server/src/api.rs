@@ -477,13 +477,12 @@ where
         }
         TopologySpec::Torus3d { w, h, d } => {
             let (w, h, d) = (w as usize, h as usize, d as usize);
-            if w * h * d != n {
+            let cells = w.checked_mul(h).and_then(|wh| wh.checked_mul(d));
+            if cells != Some(n) {
+                let needs = cells.map_or("more than usize::MAX".to_string(), |c| c.to_string());
                 return Err(SpecError::BadField {
                     field: "topology".to_string(),
-                    detail: format!(
-                        "torus3d {w}x{h}x{d} needs population {}, got {n}",
-                        w * h * d
-                    ),
+                    detail: format!("torus3d {w}x{h}x{d} needs population {needs}, got {n}"),
                 });
             }
             let graph = cache

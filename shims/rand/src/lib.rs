@@ -124,14 +124,20 @@ fn uniform_below(rng: &mut (impl RngCore + ?Sized), width: u64) -> u64 {
     if width.is_power_of_two() {
         return rng.next_u64() & (width - 1);
     }
-    // Rejection zone: the largest multiple of `width` below 2^64.
-    let zone = u64::MAX - (u64::MAX % width + 1) % width;
     loop {
-        let v = rng.next_u64();
-        if v <= zone {
-            return v % width;
+        if let Some(r) = accept_below(rng.next_u64(), width) {
+            return r;
         }
     }
+}
+
+/// `v % width` if the word `v` lies in a complete block of `width` words
+/// (the block starting at `v - v % width` ends by `u64::MAX`), else `None`:
+/// rejection of the incomplete top block, with one division per word.
+#[inline]
+fn accept_below(v: u64, width: u64) -> Option<u64> {
+    let r = v % width;
+    (v - r <= u64::MAX - (width - 1)).then_some(r)
 }
 
 macro_rules! impl_int_ranges {
@@ -351,6 +357,31 @@ mod tests {
         }
         let mean = sum / f64::from(trials);
         assert!((mean - 0.5).abs() < 0.01, "mean {mean}");
+    }
+
+    #[test]
+    fn block_rejection_accepts_exactly_the_zone() {
+        // The two-division form it replaced: accept up to the largest
+        // multiple of `width` below 2^64.
+        let zone = |w: u64| u64::MAX - (u64::MAX % w + 1) % w;
+        let widths = [
+            1,
+            2,
+            3,
+            (1 << 32) - 1,
+            (1 << 32) + 1,
+            (1 << 63) - 1,
+            (1 << 63) + 1,
+            u64::MAX,
+        ];
+        for w in widths {
+            let z = zone(w);
+            let around = (0..=3).flat_map(|d| [z.saturating_sub(d), z.saturating_add(d)]);
+            for v in around.chain([0, 1, w - 1, w, u64::MAX - 1, u64::MAX]) {
+                let expected = (v <= z).then_some(v % w);
+                assert_eq!(super::accept_below(v, w), expected, "width {w}, word {v}");
+            }
+        }
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! overflowed a worker stack would abort the whole process (a stack
 //! overflow cannot be caught), so this file boots a real server and sends
 //! one, populations whose total does not fit in a `u64`, an agents-engine
-//! run whose complete topology would not fit in memory, and mean-field
+//! run whose complete topology would not fit in memory, a 3D torus whose
+//! cell count overflows `usize`, and mean-field
 //! and agents-engine runs of a protocol with a million reachable states.
 //! It also pins the codec's writer to the checked-in wire format: every
 //! server golden and bench history record re-renders to its exact bytes.
@@ -128,6 +129,31 @@ fn agents_complete_topology_past_the_edge_cap_is_a_fast_413() {
     );
     assert!(resp.text().contains("9999900000 directed edges"), "{}", resp.text());
     assert!(elapsed < Duration::from_secs(1), "refused after {elapsed:?}");
+    assert_eq!(client::get(s.addr(), "/healthz").unwrap().status, 200);
+    s.shutdown();
+}
+
+#[test]
+fn torus3d_whose_size_overflows_is_a_400_not_a_crash() {
+    // 4294967295³ overflows `usize`: the size check must refuse it, not
+    // panic on the multiply (debug) or compare a wrapped product (release).
+    let s = serve(
+        "127.0.0.1:0",
+        ServerConfig {
+            threads: 1,
+            ..ServerConfig::default()
+        },
+    )
+    .expect("bind loopback");
+    let body = r#"{"protocol":{"name":"majority"},"population":{"1":6,"0":4},"seed":1,"engine":"agents","topology":{"kind":"torus3d","w":4294967295,"h":4294967295,"d":4294967295}}"#;
+    let resp = client::post(s.addr(), "/v1/run", body).unwrap();
+    assert_eq!(resp.status, 400, "{}", resp.text());
+    assert!(
+        resp.text().starts_with("{\"schema\":\"pp-error/v1\",\"code\":\"bad_field\""),
+        "{}",
+        resp.text()
+    );
+    assert!(resp.text().contains("needs population more than"), "{}", resp.text());
     assert_eq!(client::get(s.addr(), "/healthz").unwrap().status, 200);
     s.shutdown();
 }
