@@ -1,33 +1,19 @@
-//! Batched and epoch-sharded execution for the agent engine.
+//! Batched execution for the agent engine.
 //!
 //! The per-step [`AgentSimulation::step`] loop interleaves one scheduler
 //! draw with one transition apply, which serializes a cache miss per
-//! interaction once the population spills out of cache. This module breaks
-//! that dependence in two stages:
-//!
-//! * **Batched sampling** ([`run_batched`](AgentSimulation::run_batched),
-//!   [`measure_stabilization`](AgentSimulation::measure_stabilization)):
-//!   draw `K` edges at once through [`BatchPairSampler`] (monomorphized RNG,
-//!   independent random reads that overlap in the memory pipeline), then
-//!   apply them in draw order through the runtime's dense `δ`-memo (see
-//!   [`DenseRuntime::transition`](crate::DenseRuntime::transition)). Both
-//!   methods share one apply kernel, and `measure_stabilization` is the
-//!   only stabilization loop of the agent engine: `engine: "agents"` runs
-//!   are served through it.
-//! * **Epoch sharding** ([`run_epochs`](AgentSimulation::run_epochs)): shard
-//!   one trajectory across threads in conflict-free epochs. Each epoch's
-//!   `K` sampled edges are classified in draw order — an edge is
-//!   *independent* iff no earlier edge of the same epoch touches either
-//!   endpoint — and worker threads look up the transition of every edge
-//!   from the pre-epoch states in the runtime's dense `δ`-memo, into
-//!   disjoint result chunks. The main thread then merges in draw order:
-//!   independent edges take their looked-up result (valid because their
-//!   endpoints are untouched when they apply); conflicted edges, and pairs
-//!   the memo has not seen yet, are computed from the current states.
-//!   Sampling, classification, merging and every new state's interning
-//!   happen on the main thread with a single RNG, so the trajectory and the
-//!   state ids are byte-identical to `run_batched`'s at **any** thread
-//!   count — parallelism changes wall-clock only, never results.
+//! interaction once the population spills out of cache. Batched sampling
+//! ([`run_batched`](AgentSimulation::run_batched),
+//! [`measure_stabilization`](AgentSimulation::measure_stabilization))
+//! breaks that dependence: draw `K` edges at once through
+//! [`BatchPairSampler`] (monomorphized RNG, independent random reads that
+//! overlap in the memory pipeline), then apply them in draw order through
+//! the runtime's dense `δ`-memo (see
+//! [`DenseRuntime::transition`](crate::DenseRuntime::transition)). Both
+//! methods share one apply kernel, and `measure_stabilization` is the only
+//! stabilization loop of the agent engine: `engine: "agents"` runs are
+//! served through it. One trajectory runs on one thread; parallelism lives
+//! across independent trials, in [`Ensemble`](crate::ensemble::Ensemble).
 //!
 //! # Identity with the per-step loop
 //!
@@ -47,8 +33,8 @@
 //! is invisible in states, state ids, counters, reports and the RNG
 //! stream; only its speed differs.
 //!
-//! All paths surface starvation (no live pair can ever be sampled again) as
-//! [`PopulationError::StarvedSchedule`] instead of spinning or panicking.
+//! Both methods surface starvation (no live pair can ever be sampled again)
+//! as [`PopulationError::StarvedSchedule`] instead of spinning or panicking.
 
 use rand::RngCore;
 
@@ -62,27 +48,18 @@ use crate::registry::{DenseRuntime, StateId, UNSET};
 use crate::scheduler::BatchPairSampler;
 use crate::trace::{SpanKind, Tracer};
 
-/// Edges sampled per batch/epoch. Large enough to amortize the buffer walk
-/// and expose memory-level parallelism; small enough that an epoch's stamp
-/// working set stays cache-resident and conflicts stay rare on sparse
-/// graphs.
-pub const EPOCH_EDGES: usize = 4096;
+/// Edges sampled per batch. Large enough to amortize the buffer walk and
+/// expose memory-level parallelism; small enough that the edge buffer stays
+/// cache-resident.
+pub const BATCH_EDGES: usize = 4096;
 
-/// Reusable scratch buffers for batched and epoch-sharded execution, owned
-/// by every [`AgentSimulation`] (empty until the first batched call, so the
+/// Reusable scratch buffers for batched execution, owned by every
+/// [`AgentSimulation`] (empty until the first batched call, so the
 /// per-step engine pays nothing for it).
 #[derive(Debug, Clone, Default)]
 pub struct AgentBatchScratch {
     /// Sampled edges of the current batch, in draw order.
     edges: Vec<(u32, u32)>,
-    /// Per-edge precomputed transition results (epoch sharding only).
-    results: Vec<(StateId, StateId)>,
-    /// Per-agent epoch stamp for conflict classification.
-    stamp: Vec<u32>,
-    /// Current epoch number (stamp values equal to this are "touched").
-    epoch: u32,
-    /// Per-edge independence verdicts, in draw order.
-    independent: Vec<bool>,
     /// Whether the next batch runs the dense apply loop's storing body:
     /// the previous batch had at least `1 / STORE_SHARE` effective
     /// interactions.
@@ -329,7 +306,7 @@ impl<P: Protocol, S: BatchPairSampler, Pr: Probe, Tr: Tracer> AgentSimulation<P,
     ) -> Result<(), PopulationError> {
         let mut remaining = steps;
         while remaining > 0 {
-            let k = remaining.min(EPOCH_EDGES as u64) as usize;
+            let k = remaining.min(BATCH_EDGES as u64) as usize;
             self.fill_live_batch(k, rng)?;
             if Tr::ACTIVE {
                 self.tracer.enter(SpanKind::BatchApply);
@@ -394,147 +371,6 @@ impl<P: Protocol, S: BatchPairSampler, Pr: Probe, Tr: Tracer> AgentSimulation<P,
             stabilized_at: consensus_reached(watch.wrong, watch.last_wrong, 0),
         }
     }
-
-    /// Stamps every edge of the buffered batch, in draw order, as
-    /// independent (no earlier edge of this epoch touches either endpoint)
-    /// or conflicted.
-    fn classify_epoch(&mut self) {
-        let AgentBatchScratch { edges, stamp, epoch, independent, .. } = &mut self.batch;
-        let n = self.agents.population();
-        if stamp.len() != n {
-            *stamp = vec![0; n];
-            *epoch = 0;
-        }
-        *epoch = epoch.wrapping_add(1);
-        if *epoch == 0 {
-            stamp.fill(0);
-            *epoch = 1;
-        }
-        independent.clear();
-        independent.reserve(edges.len());
-        for &(u, v) in edges.iter() {
-            let free = stamp[u as usize] != *epoch && stamp[v as usize] != *epoch;
-            independent.push(free);
-            stamp[u as usize] = *epoch;
-            stamp[v as usize] = *epoch;
-        }
-    }
-
-    /// Applies the buffered epoch: workers look up every edge's transition
-    /// from the pre-epoch states in disjoint chunks, then the main thread
-    /// merges in draw order (looked up where independent, computed where
-    /// conflicted or not memoized yet).
-    fn apply_epoch(&mut self, threads: usize) {
-        let edges = std::mem::take(&mut self.batch.edges);
-        let mut results = std::mem::take(&mut self.batch.results);
-        let independent = std::mem::take(&mut self.batch.independent);
-
-        // Workers only read the dense δ-memo, a shared slice: evaluating δ
-        // may intern a new state, and only the merge may do that, in draw
-        // order, so state ids match the sequential engine's. A pair the
-        // memo has not seen reads `UNSET` and is computed in the merge; past
-        // the dense cap there is no table and the merge computes every edge.
-        let precomputed = match self.rt.dense_memo() {
-            Some((table, side)) => {
-                results.clear();
-                results.resize(edges.len(), UNSET);
-                let states = self.agents.states().as_slice();
-                let lookup = move |(u, v): (u32, u32)| {
-                    table[states[u as usize].index() * side + states[v as usize].index()]
-                };
-                if threads > 1 {
-                    let chunk = edges.len().div_ceil(threads);
-                    std::thread::scope(|scope| {
-                        for (es, rs) in edges.chunks(chunk).zip(results.chunks_mut(chunk)) {
-                            scope.spawn(move || {
-                                for (&e, r) in es.iter().zip(rs.iter_mut()) {
-                                    *r = lookup(e);
-                                }
-                            });
-                        }
-                    });
-                } else {
-                    for (&e, r) in edges.iter().zip(results.iter_mut()) {
-                        *r = lookup(e);
-                    }
-                }
-                true
-            }
-            None => false,
-        };
-
-        for (i, &(u, v)) in edges.iter().enumerate() {
-            let (p, q) = (self.agents.state(u), self.agents.state(v));
-            // An independent edge's endpoints are untouched by earlier edges
-            // of the epoch, so its looked-up result is exactly what
-            // sequential execution would produce here.
-            let r = if precomputed && independent[i] && results[i] != UNSET {
-                results[i]
-            } else {
-                self.rt.transition(p, q)
-            };
-            // Identity writes skip, as in the batched kernel's eliding
-            // body; the merge is not branch-free on any share.
-            if r != (p, q) {
-                self.agents.apply((u, v), r);
-            }
-            self.note_interaction((p, q), r);
-        }
-
-        self.batch.edges = edges;
-        self.batch.results = results;
-        self.batch.independent = independent;
-    }
-
-    /// Runs `steps` interactions, sharding each epoch of sampled edges
-    /// across `threads` worker threads.
-    ///
-    /// The trajectory is byte-identical to [`run_batched`](Self::run_batched)
-    /// (and therefore to the sequential [`run`](Self::run)) at **any**
-    /// `threads` value, including 1: sampling, conflict classification, and
-    /// the draw-order merge all run on the calling thread with the single
-    /// `rng`, and workers only precompute pure functions of the pre-epoch
-    /// states. Property-tested in `tests/agent_batch_properties.rs` and
-    /// hard-asserted by the `e23_agent_engine` bench.
-    ///
-    /// # Errors
-    ///
-    /// [`PopulationError::StarvedSchedule`] as for
-    /// [`run_batched`](Self::run_batched).
-    pub fn run_epochs(
-        &mut self,
-        steps: u64,
-        threads: usize,
-        rng: &mut impl RngCore,
-    ) -> Result<(), PopulationError> {
-        let threads = threads.max(1);
-        let mut remaining = steps;
-        while remaining > 0 {
-            let k = remaining.min(EPOCH_EDGES as u64) as usize;
-            self.fill_live_batch(k, rng)?;
-            self.classify_epoch();
-            if Tr::ACTIVE {
-                self.tracer.enter(SpanKind::BatchApply);
-            }
-            self.apply_epoch(threads);
-            if Tr::ACTIVE {
-                self.tracer.exit(SpanKind::BatchApply, k as u64);
-            }
-            remaining -= k as u64;
-        }
-        Ok(())
-    }
-
-    /// [`run_epochs`](Self::run_epochs) with the thread count resolved from
-    /// the environment ([`crate::ensemble::default_threads`]: 1 under
-    /// `PP_BENCH_SMOKE`, else `PP_THREADS`, else the host parallelism).
-    pub fn run_sharded(
-        &mut self,
-        steps: u64,
-        rng: &mut impl RngCore,
-    ) -> Result<(), PopulationError> {
-        self.run_epochs(steps, crate::ensemble::default_threads(), rng)
-    }
 }
 
 #[cfg(test)]
@@ -542,7 +378,7 @@ mod tests {
     use crate::engine::{seeded_rng, AgentSimulation};
     use crate::error::PopulationError;
     use crate::protocol::FnProtocol;
-    use crate::scheduler::{CsrScheduler, EdgeListScheduler, UniformPairScheduler};
+    use crate::scheduler::{EdgeListScheduler, UniformPairScheduler};
     use rand::RngCore;
 
     fn epidemic() -> impl crate::protocol::Protocol<State = bool, Input = bool, Output = bool>
@@ -579,31 +415,6 @@ mod tests {
         assert_eq!(seq.steps(), bat.steps());
         assert_eq!(seq.effective_steps(), bat.effective_steps());
         assert_eq!(rng_a.next_u64(), rng_b.next_u64(), "RNG streams must stay aligned");
-    }
-
-    #[test]
-    fn run_epochs_matches_at_any_thread_count() {
-        let edges: Vec<(u32, u32)> = (0..32u32)
-            .flat_map(|i| [(i, (i + 1) % 32), ((i + 1) % 32, i)])
-            .collect();
-        let mut base = AgentSimulation::from_inputs(
-            epidemic(),
-            &inputs(32),
-            CsrScheduler::new(32, &edges),
-        );
-        let mut rng = seeded_rng(7);
-        base.run_batched(20_000, &mut rng).unwrap();
-        for threads in [1usize, 2, 8] {
-            let mut sim = AgentSimulation::from_inputs(
-                epidemic(),
-                &inputs(32),
-                CsrScheduler::new(32, &edges),
-            );
-            let mut rng = seeded_rng(7);
-            sim.run_epochs(20_000, threads, &mut rng).unwrap();
-            assert_eq!(sim.agents(), base.agents(), "threads={threads}");
-            assert_eq!(sim.effective_steps(), base.effective_steps(), "threads={threads}");
-        }
     }
 
     #[test]

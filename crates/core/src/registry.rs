@@ -323,7 +323,6 @@ impl<P: Protocol> DenseRuntime<P> {
     /// The `δ`-memo as a row-major table and its side (entry `(p, q)` at
     /// `p * side + q`, [`UNSET`] where `δ(p, q)` has not been looked up
     /// yet) while the runtime holds at most 1024 states; `None` past that.
-    /// A shared slice, so epoch workers can read it from other threads.
     pub(crate) fn dense_memo(&self) -> Option<(&[StatePair], usize)> {
         let memo = &self.transitions;
         (memo.side > 0).then_some((memo.dense.as_slice(), memo.side))

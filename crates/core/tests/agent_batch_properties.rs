@@ -1,13 +1,10 @@
-//! Correctness properties of the batched / epoch-sharded agent engine
+//! Correctness properties of the batched agent engine
 //! (`pp_core::agent_batch`):
 //!
 //! * `run_batched` is **byte-identical** to the sequential `step` loop on
 //!   every built-in sampler — same RNG stream, same final per-agent states,
 //!   same counters (a stronger claim than the count engine's distributional
 //!   equivalence, because agent-engine batching reorders nothing);
-//! * `run_epochs` is byte-identical to `run_batched` at *any* thread count,
-//!   state ids included, on protocols whose states appear mid-run and past
-//!   the dense δ-memo;
 //! * under crashes, the masked `CsrScheduler` path agrees in distribution
 //!   (total-variation distance) with rejection sampling on the same graph,
 //!   mirroring `batch_properties.rs`;
@@ -21,7 +18,7 @@
 
 use std::collections::HashMap;
 
-use pp_core::agent_batch::EPOCH_EDGES;
+use pp_core::agent_batch::BATCH_EDGES;
 use pp_core::scheduler::{
     BatchPairSampler, CsrScheduler, EdgeListScheduler, UniformPairScheduler,
 };
@@ -101,33 +98,6 @@ fn scatter() -> impl Protocol<State = u32, Input = u32, Output = bool> {
         |&q: &u32| q % 2 == 0,
         |&p: &u32, &q: &u32| ((p * 7 + q + 1) % 5_000, (p + 3 * q) % 5_000),
     )
-}
-
-/// Asserts that `run_epochs` at `threads` matches `run_batched` byte for
-/// byte: same state ids, counters and RNG position, whether the states
-/// the run meets were interned before it or during it.
-fn assert_epochs_match_batched<P: Protocol>(
-    mk: impl Fn() -> P,
-    inputs: &[P::Input],
-    sampler: &CsrScheduler,
-    steps: u64,
-    threads: usize,
-    seed: u64,
-) -> Result<(), TestCaseError> {
-    let mut base = AgentSimulation::from_inputs(mk(), inputs, sampler.clone());
-    let mut rng = seeded_rng(seed);
-    base.run_batched(steps, &mut rng).unwrap();
-    let base_word = rng.next_u64();
-
-    let mut sharded = AgentSimulation::from_inputs(mk(), inputs, sampler.clone());
-    let mut rng = seeded_rng(seed);
-    sharded.run_epochs(steps, threads, &mut rng).unwrap();
-    prop_assert_eq!(base.agents(), sharded.agents(), "threads={}", threads);
-    prop_assert_eq!(base.runtime().state_count(), sharded.runtime().state_count());
-    prop_assert_eq!(base.steps(), sharded.steps());
-    prop_assert_eq!(base.effective_steps(), sharded.effective_steps());
-    prop_assert_eq!(base_word, rng.next_u64(), "RNG streams diverged");
-    Ok(())
 }
 
 /// `side × side` torus, both directions of every lattice edge: regular with
@@ -351,7 +321,7 @@ proptest! {
     }
 }
 
-/// Effective interactions of each `EPOCH_EDGES`-interaction batch of a
+/// Effective interactions of each `BATCH_EDGES`-interaction batch of a
 /// per-step replay of `horizon` interactions.
 fn effective_per_batch<P: Protocol, S: BatchPairSampler>(
     mut sim: AgentSimulation<P, S>,
@@ -362,7 +332,7 @@ fn effective_per_batch<P: Protocol, S: BatchPairSampler>(
     let mut counts = Vec::new();
     let mut done = 0;
     while done < horizon {
-        let k = (horizon - done).min(EPOCH_EDGES as u64);
+        let k = (horizon - done).min(BATCH_EDGES as u64);
         let before = sim.effective_steps();
         for _ in 0..k {
             sim.step(&mut rng);
@@ -391,8 +361,8 @@ proptest! {
             horizon,
             seed,
         );
-        let busy = EPOCH_EDGES as u64 / 4;
-        let quiet = EPOCH_EDGES as u64 / 64;
+        let busy = BATCH_EDGES as u64 / 4;
+        let quiet = BATCH_EDGES as u64 / 64;
         let first_busy = per_batch.iter().position(|&e| e >= busy);
         prop_assert!(first_busy.is_some(), "no busy batch: {:?}", per_batch);
         prop_assert!(
@@ -470,23 +440,6 @@ proptest! {
     ) {
         let sampler = CsrScheduler::new(n as usize, &ring_edges(n));
         assert_batched_matches_sequential(n as usize, sampler, steps, seed)?;
-    }
-
-    #[test]
-    fn prop_epoch_sharded_is_thread_count_invariant(
-        seed in 0u64..1_000,
-        n in 4u32..48,
-        steps in 1u64..6_000,
-        threads in 1usize..9,
-    ) {
-        let sampler = CsrScheduler::new(n as usize, &ring_edges(n));
-        let majority = majority_inputs(n as usize);
-        assert_epochs_match_batched(approx_majority, &majority, &sampler, steps, threads, seed)?;
-        let tokens: Vec<u8> = (0..n).map(|i| u8::from(i % 2 == 0)).collect();
-        let k = n / 2 + 1;
-        assert_epochs_match_batched(|| count_to(k), &tokens, &sampler, steps, threads, seed)?;
-        let seeds: Vec<u32> = (0..n).collect();
-        assert_epochs_match_batched(scatter, &seeds, &sampler, steps, threads, seed)?;
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! and faulted runs. Plus: [`SpanStats`] merge is exact on counters and
 //! folding per-trial tracers in trial order is thread-count invariant.
 
-use pp_core::agent_batch::EPOCH_EDGES;
+use pp_core::agent_batch::BATCH_EDGES;
 use pp_core::scheduler::UniformPairScheduler;
 use pp_core::{
     seeded_rng, AgentSimulation, Ensemble, FnProtocol, NoTracer, Protocol, Simulation, SpanKind,
@@ -178,9 +178,9 @@ proptest! {
             let mut rng = seeded_rng(seed);
             let rep = sim.measure_stabilization(&true, horizon, &mut rng);
             // One sample and one apply span per batch of at most
-            // EPOCH_EDGES draws; between them they cover the horizon.
+            // BATCH_EDGES draws; between them they cover the horizon.
             let spans = sim.tracer();
-            let batches = horizon.div_ceil(EPOCH_EDGES as u64);
+            let batches = horizon.div_ceil(BATCH_EDGES as u64);
             for kind in [SpanKind::BatchSample, SpanKind::BatchApply] {
                 prop_assert_eq!(spans.count(kind), batches);
                 prop_assert_eq!(spans.items(kind), horizon);

@@ -1,7 +1,7 @@
-//! The batched / epoch-sharded agent engine against a real workload: the
-//! epidemic on a 2D torus (§5's restricted interaction graphs at the
-//! topology the e23 bench scales to), driven through the Probe and Tracer
-//! layers and cross-checked against the sequential engine.
+//! The batched agent engine against a real workload: the epidemic on a 2D
+//! torus (§5's restricted interaction graphs at the topology the e23 bench
+//! scales to), driven through the Probe and Tracer layers and cross-checked
+//! against the sequential engine.
 
 use pp_core::observe::MetricsProbe;
 use pp_core::trace::{SpanKind, SpanStats};
@@ -121,30 +121,31 @@ fn torus_batched_run_matches_sequential_with_probe() {
 }
 
 #[test]
-fn torus_sharded_run_is_thread_count_invariant_under_tracer() {
+fn torus_batched_run_is_tracer_transparent() {
     let side = 8usize;
     let n = side * side;
     let steps = 30_000u64;
     let g = torus2d_csr(side, side);
 
-    let mut reference: Option<Vec<bool>> = None;
-    for threads in [1usize, 2, 8] {
-        let mut sim =
-            AgentSimulation::from_inputs(epidemic(), &patient_zero(n), g.scheduler())
-                .with_tracer(SpanStats::new());
-        let mut rng = seeded_rng(97);
-        sim.run_epochs(steps, threads, &mut rng).unwrap();
-        let states: Vec<bool> =
-            (0..n as u32).map(|a| *sim.state_of(a)).collect();
-        match &reference {
-            None => reference = Some(states),
-            Some(r) => assert_eq!(r, &states, "threads={threads}"),
-        }
-        // The tracer recorded both pipeline stages, covering every step.
-        let stats = sim.tracer();
-        assert_eq!(stats.items(SpanKind::BatchSample), steps);
-        assert_eq!(stats.items(SpanKind::BatchApply), steps);
-    }
+    let mut plain =
+        AgentSimulation::from_inputs(epidemic(), &patient_zero(n), g.scheduler());
+    let mut rng = seeded_rng(97);
+    plain.run_batched(steps, &mut rng).unwrap();
+    let plain_word = rng.next_u64();
+
+    let mut traced =
+        AgentSimulation::from_inputs(epidemic(), &patient_zero(n), g.scheduler())
+            .with_tracer(SpanStats::new());
+    let mut rng = seeded_rng(97);
+    traced.run_batched(steps, &mut rng).unwrap();
+
+    assert_eq!(plain.agents(), traced.agents());
+    assert_eq!(plain.effective_steps(), traced.effective_steps());
+    assert_eq!(rng.next_u64(), plain_word, "RNG streams diverged");
+    // The tracer recorded both pipeline stages, covering every step.
+    let stats = traced.tracer();
+    assert_eq!(stats.items(SpanKind::BatchSample), steps);
+    assert_eq!(stats.items(SpanKind::BatchApply), steps);
 }
 
 #[test]
