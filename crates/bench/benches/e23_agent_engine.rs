@@ -21,8 +21,9 @@
 //!   change).
 //!
 //! The three cases of one population are timed in rounds: block `i` of
-//! every case runs before block `i + 1` of any, so a fast or slow stretch
-//! of a shared host falls on all of them alike.
+//! every case, each after its own warmup, runs before block `i + 1` of
+//! any, so a fast or slow stretch of a shared host falls on all of them
+//! alike.
 //!
 //! Two sets of `csr_batched` rows time the apply kernel where effective
 //! interactions are common, which the epidemic (≈ 99.9% no-ops once it has
@@ -87,33 +88,42 @@ fn time_batched<P: Protocol>(
     (ns, std, sim.effective_steps() as f64 / sim.steps() as f64)
 }
 
+/// Times `reps` measured blocks of `k` interactions on one simulation
+/// (after a warmup block), returning (mean, std) ns/interaction.
+fn time_blocks(
+    mut run: impl FnMut(u64),
+    k: u64,
+    reps: u64,
+) -> (f64, f64) {
+    run(k / 4); // warmup: interns states, fills the δ-memo, faults in the arrays
+    let mut w = Welford::new();
+    for _ in 0..reps {
+        let start = Instant::now();
+        run(k);
+        w.push(start.elapsed().as_nanos() as f64 / k as f64);
+    }
+    (w.mean(), w.std_dev())
+}
+
 /// Times `reps` rounds of one measured block of `k` interactions per
-/// runner (after a warmup block each), returning each runner's
-/// ns/interaction per round.
+/// runner, returning each runner's ns/interaction per round. Every block
+/// follows a warmup of `k / 4` interactions on its own runner, so it does
+/// not pay for the cache lines the previous runner's block evicted.
 fn time_rounds<const R: usize>(
     mut runs: [&mut dyn FnMut(u64); R],
     k: u64,
     reps: u64,
 ) -> [Vec<f64>; R] {
-    for run in runs.iter_mut() {
-        run(k / 4); // warmup: interns states, fills the δ-memo, faults in the arrays
-    }
     let mut ns: [Vec<f64>; R] = std::array::from_fn(|_| Vec::new());
     for _ in 0..reps {
         for (run, ns) in runs.iter_mut().zip(ns.iter_mut()) {
+            run(k / 4);
             let start = Instant::now();
             run(k);
             ns.push(start.elapsed().as_nanos() as f64 / k as f64);
         }
     }
     ns
-}
-
-/// Times `reps` measured blocks of `k` interactions on one simulation
-/// (after a warmup block), returning (mean, std) ns/interaction.
-fn time_blocks(mut run: impl FnMut(u64), k: u64, reps: u64) -> (f64, f64) {
-    let [ns] = time_rounds([&mut run], k, reps);
-    mean_std(&ns)
 }
 
 fn mean_std(xs: &[f64]) -> (f64, f64) {
@@ -198,8 +208,6 @@ fn main() {
         let mut batched =
             AgentSimulation::from_inputs(epidemic(), &patient_zero(n), csr.scheduler());
         let mut rng_batched = seeded_rng(5);
-        // Boxed and batched blocks run back to back, so each round's
-        // ratio meets one stretch of the host.
         let [boxed_blocks, batched_blocks, seq_blocks] = time_rounds(
             [
                 &mut |steps| {
