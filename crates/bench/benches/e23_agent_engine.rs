@@ -107,8 +107,10 @@ fn time_blocks(
 
 /// Times `reps` rounds of one measured block of `k` interactions per
 /// runner, returning each runner's ns/interaction per round. Every block
-/// follows a warmup of `k / 4` interactions on its own runner, so it does
-/// not pay for the cache lines the previous runner's block evicted.
+/// follows an untimed block of `k` interactions on its own runner, which
+/// brings back the cache lines the previous runner's block evicted: where
+/// the last-level cache holds most of a case's arrays, a block run right
+/// after another case's would otherwise run cold.
 fn time_rounds<const R: usize>(
     mut runs: [&mut dyn FnMut(u64); R],
     k: u64,
@@ -117,7 +119,7 @@ fn time_rounds<const R: usize>(
     let mut ns: [Vec<f64>; R] = std::array::from_fn(|_| Vec::new());
     for _ in 0..reps {
         for (run, ns) in runs.iter_mut().zip(ns.iter_mut()) {
-            run(k / 4);
+            run(k);
             let start = Instant::now();
             run(k);
             ns.push(start.elapsed().as_nanos() as f64 / k as f64);
