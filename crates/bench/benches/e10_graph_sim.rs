@@ -9,28 +9,25 @@
 //! Both sides route through the unified [`pp_core::spec`] dispatcher:
 //! the baseline is a sequential `run_counts` ensemble, the graph cases
 //! are `run_agents` ensembles over each topology's sampler — the same
-//! seams `pp-server` resolves `RunSpec` requests through. Offset seeding
-//! (`seed_mode: "offset"`) keeps trial `i` on the former `seeded_rng(i)`
-//! stream so the measured means are unchanged from the historical loops.
+//! seams `pp-server` resolves `RunSpec` requests through.
 
 use pp_bench::{fmt, print_header};
 use pp_core::seeded_rng;
 use pp_core::spec::{
-    run_agents, run_counts, EngineSel, ProtocolRef, RunOutcome, RunSpec, SeedModeSpec,
+    run_agents, run_counts, EngineSel, ProtocolRef, RunOutcome, RunSpec,
 };
 use pp_graphs as graphs;
 use pp_protocols::{majority, GraphSimulator};
 
-/// The shared spec shape: an offset-seeded stabilization ensemble.
+/// The shared spec shape: a stabilization ensemble.
 fn spec_for(trials: u64, master_seed: u64, horizon: u64, engine: EngineSel) -> RunSpec {
     let mut spec = RunSpec::new(
         ProtocolRef::Name { name: "majority".into(), params: vec![] },
-        // Population mirrors the dispatched pair order (0s first) — the
-        // order the historical trial loops interned.
+        // Population mirrors the dispatched pair order (0s first), which
+        // fixes the state-interning order.
         vec![],
         master_seed,
     );
-    spec.seed_mode = SeedModeSpec::Offset;
     spec.engine = engine;
     spec.trials = trials;
     spec.horizon = Some(horizon);
@@ -48,8 +45,7 @@ fn main() {
     let trials = if pp_bench::smoke() { 3u64 } else { 30u64 };
 
     // Baseline: bare protocol on the complete graph, through the
-    // sequential count engine. Offset seeding keeps trial `i` on the
-    // former `seeded_rng(i)` stream so the means are unchanged.
+    // sequential count engine.
     let mut base_spec = spec_for(trials, 0, 400_000, EngineSel::Sequential);
     base_spec.population =
         vec![("0".into(), (n - ones) as u64), ("1".into(), ones as u64)];

@@ -31,10 +31,9 @@ fn main() {
         let zeros = n - ones;
         let trials = if pp_bench::smoke() { 5 } else { (200_000 / (n * n)).clamp(10, 60) };
         // Both protocols share trial `i`'s RNG stream (exact first, then
-        // approximate, exactly as the former sequential loop did); the
-        // ensemble runs whole trials in parallel with offset seeding, so
-        // the printed means are unchanged at any thread count.
-        let outcomes = Ensemble::new(trials, 0).legacy_offset_seeds().map(|_trial, rng| {
+        // approximate); the ensemble runs whole trials in parallel, so the
+        // printed means are the same at any thread count.
+        let outcomes = Ensemble::new(trials, 0).map(|_trial, rng| {
             let mut sim = Simulation::from_counts(majority(), [(0usize, zeros), (1usize, ones)]);
             let rep = sim.measure_stabilization(&true, 2000 * n * n, rng);
             let exact = rep.stabilized_at.expect("exact converges") as f64;

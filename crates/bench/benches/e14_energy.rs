@@ -24,9 +24,8 @@ fn main() {
 
     for &n in n_list {
         let trials = if pp_bench::smoke() { 3 } else { 20 };
-        // Ensemble-parallel trials; offset seeding keeps trial `i` on the
-        // former `seeded_rng(i)` stream (statistics unchanged).
-        let outcomes = Ensemble::new(trials, 0).legacy_offset_seeds().map(|_trial, rng| {
+        // Ensemble-parallel trials: statistics identical at any thread count.
+        let outcomes = Ensemble::new(trials, 0).map(|_trial, rng| {
             let mut sim =
                 Simulation::from_counts(CountThreshold::new(5), [(true, 6), (false, n - 6)]);
             let rep = sim.measure_stabilization(&true, 50 * n * n, rng);
@@ -47,7 +46,7 @@ fn main() {
     println!();
     for &n in n_list {
         let trials = if pp_bench::smoke() { 3 } else { 20 };
-        let outcomes = Ensemble::new(trials, 0).legacy_offset_seeds().map(|_trial, rng| {
+        let outcomes = Ensemble::new(trials, 0).map(|_trial, rng| {
             let mut sim =
                 Simulation::from_counts(majority(), [(0usize, n / 2 - 1), (1usize, n / 2 + 1)]);
             let rep = sim.measure_stabilization(&true, 50 * n * n, rng);

@@ -29,10 +29,9 @@ fn row<P: Protocol<Output = bool> + Clone>(
 ) {
     let trials = if pp_bench::smoke() { 3u64 } else { 30u64 };
     // Each trial measures both clocks on one RNG stream (sequential first,
-    // then rounds — the order the former loop used); the ensemble runs
-    // trials in parallel with offset seeding, so the printed means match
-    // the old sequential loop at any thread count.
-    let outcomes = Ensemble::new(trials, 0).legacy_offset_seeds().map(|_trial, rng| {
+    // then rounds); the ensemble runs trials in parallel, so the printed
+    // means are the same at any thread count.
+    let outcomes = Ensemble::new(trials, 0).map(|_trial, rng| {
         let mut sim = mk();
         let rep = sim.measure_stabilization(&expected, horizon, rng);
         let seq = rep.stabilized_at.expect("sequential converges") as f64;

@@ -18,8 +18,9 @@
 //! The sweep is also emitted as `BENCH_e17_fault_recovery.json`.
 
 use pp_bench::{fmt, mean, print_header, BenchReport};
-use pp_core::ensemble::Ensemble;
+use pp_core::ensemble::{default_threads, Ensemble};
 use pp_core::faults::TransientCorruption;
+use pp_core::trace::RunManifest;
 use pp_core::{Protocol, Simulation};
 use pp_protocols::ext::{ApproximateMajority, Opinion};
 use pp_protocols::majority;
@@ -69,6 +70,15 @@ fn main() {
     // `threads` and `wall_s` land in the report header automatically.
     let mut report = BenchReport::new("e17_fault_recovery");
     report.set_meta("n", n).set_meta("ones", ones).set_meta("trials", p.trials);
+    report.set_manifest(
+        RunManifest::default()
+            .with_protocol("approximate-majority,majority")
+            .with_population(n)
+            .with_master_seed(0)
+            .with_threads(default_threads() as u64)
+            .with_fault_plan("adversarial corruption of ceil(phi*n) agents after stabilization")
+            .with_detected_git_rev(),
+    );
 
     println!("\nE17: recovery time vs corruption fraction (n = {n}, {ones} one-votes)");
     println!("burst: ⌈φn⌉ agents rewritten adversarially after stabilization\n");
@@ -125,10 +135,8 @@ fn main() {
 }
 
 /// Runs `trials` faulted runs through the multi-threaded ensemble executor
-/// (`PP_THREADS` workers; trial `i` keeps the legacy `seeded_rng(i)`
-/// stream, so the sweep's statistics are byte-identical to the former
-/// sequential loop); returns (recovery rate, mean recovery time over the
-/// recovering trials).
+/// (`PP_THREADS` workers; statistics byte-identical at any thread count);
+/// returns (recovery rate, mean recovery time over the recovering trials).
 fn sweep<P, F>(
     params: &Params,
     make: F,
@@ -141,7 +149,6 @@ where
     F: Fn() -> Simulation<P> + Sync,
 {
     let rep = Ensemble::new(params.trials, 0)
-        .legacy_offset_seeds()
         .run_with_faults(|_trial| (make(), plan.clone()), &true, horizon);
     (rep.recovery_rate(), mean(&rep.final_recovery_times()))
 }

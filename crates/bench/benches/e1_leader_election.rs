@@ -25,10 +25,9 @@ fn main() {
         if pp_bench::smoke() { &[8, 16] } else { &[8, 16, 32, 64, 128, 256] };
     for &n in n_list {
         let trials = if pp_bench::smoke() { 5 } else { (200_000 / (n * n)).clamp(20, 400) };
-        // Multi-threaded trials; legacy offset seeding keeps trial `i` on
-        // the former `seeded_rng(1000 + i)` stream, so the printed means
-        // match the old sequential loop byte-for-byte at any thread count.
-        let times = Ensemble::new(trials, 1000).legacy_offset_seeds().map(|_trial, rng| {
+        // Multi-threaded trials: the printed means are byte-identical at
+        // any thread count.
+        let times = Ensemble::new(trials, 1000).map(|_trial, rng| {
             let mut sim = Simulation::from_counts(LeaderElection, [((), n)]);
             LeaderElection::run_until_unique(&mut sim, u64::MAX, rng)
                 .expect("always converges") as f64

@@ -39,6 +39,12 @@
 //!   n = 10⁴ and 10⁶, from which the kernel's switch between its eliding
 //!   and storing loop bodies is derived (EXPERIMENTS.md E23).
 //!
+//! One more pair of `csr_batched` rows, `epidemic@grid2d` at n = 10⁴ and
+//! 10⁶, runs the epidemic on a non-torus mesh. Its degrees are 2–4, so it
+//! gets no stencil; its deltas are ±1 and ±side, so the batched sampler
+//! gathers from the `i16` delta column instead. No torus row reaches that
+//! column.
+//!
 //! Non-smoke, the bench hard-asserts that the median over rounds of
 //! `boxed_seq / csr_batched`, each ratio taken within one round, is ≥ 5 at
 //! the largest population every engine runs (n ≈ 10⁷ ≥ 10⁶). The JSON
@@ -51,7 +57,7 @@ use pp_bench::{fmt, print_header, BenchReport};
 use pp_core::trace::RunManifest;
 use rand::Rng;
 use pp_core::{seeded_rng, AgentSimulation, FnProtocol, Protocol, Welford};
-use pp_graphs::{torus2d, torus2d_csr, CsrGraph};
+use pp_graphs::{grid2d, torus2d, torus2d_csr, CsrGraph};
 use pp_protocols::{ApproximateMajority, GraphSimulator};
 
 fn epidemic() -> impl Protocol<State = bool, Input = bool, Output = bool> {
@@ -302,6 +308,8 @@ fn main() {
             let protocol = format!("swap(1/{every})");
             push_share(&protocol, n, time_batched(swap(), &tokens, &csr, k, reps));
         }
+        let grid = CsrGraph::from_graph(&grid2d(side, side));
+        push_share("epidemic@grid2d", n, time_batched(epidemic(), &patient_zero(n), &grid, k, reps));
     }
 
     report.write();

@@ -59,6 +59,20 @@ pub fn unix_now() -> u64 {
     SystemTime::now().duration_since(UNIX_EPOCH).map(|d| d.as_secs()).unwrap_or(0)
 }
 
+/// The host fingerprint stamped into every report: the CPU model (from
+/// `/proc/cpuinfo` where it exists) and the CPUs this process may run on.
+fn host() -> String {
+    let model = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|info| {
+            let line = info.lines().find(|l| l.starts_with("model name"))?;
+            Some(line.split_once(':')?.1.trim().to_owned())
+        })
+        .unwrap_or_else(|| "unknown CPU".to_owned());
+    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+    format!("{model}, {cpus} CPUs")
+}
+
 /// One experiment's machine-readable report: free-form metadata plus a list
 /// of uniform-ish rows (each row is an ordered set of `name: value` cells).
 #[derive(Debug, Clone, Default)]
@@ -73,9 +87,9 @@ pub struct BenchReport {
 impl BenchReport {
     /// A new report for `experiment` (e.g. `"e12_throughput"`); the
     /// experiment name becomes the `BENCH_<experiment>.json` file name.
-    /// Smoke mode and the resolved ensemble thread count are recorded in
-    /// the metadata automatically; wall-clock time since this call is
-    /// recorded at serialization.
+    /// Smoke mode, the resolved ensemble thread count and the host are
+    /// recorded in the metadata automatically; wall-clock time since this
+    /// call is recorded at serialization.
     pub fn new(experiment: &str) -> Self {
         let mut r = Self {
             experiment: experiment.to_owned(),
@@ -86,6 +100,7 @@ impl BenchReport {
         };
         r.set_meta("smoke", smoke());
         r.set_meta("threads", pp_core::ensemble::default_threads());
+        r.set_meta("host", host());
         r
     }
 

@@ -94,19 +94,6 @@ pub fn split_seed(master: u64, trial: u64) -> u64 {
     splitmix64_mix(master.wrapping_add(trial.wrapping_add(1).wrapping_mul(GOLDEN)))
 }
 
-/// How an [`Ensemble`] derives per-trial seeds from the master seed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SeedMode {
-    /// SplitMix64 splitting ([`split_seed`]) — the default. Decorrelates
-    /// trials even for adjacent master seeds; use for all new code.
-    Split,
-    /// `trial_seed = master_seed + trial` (wrapping). Reproduces the
-    /// `seeded_rng(base + trial)` loops the benches used before the
-    /// ensemble executor existed, so migrated experiments keep their
-    /// checked-in statistics byte-for-byte.
-    Offset,
-}
-
 // ---------------------------------------------------------------------------
 // Ensemble executor
 // ---------------------------------------------------------------------------
@@ -121,7 +108,6 @@ pub struct Ensemble {
     trials: u64,
     master_seed: u64,
     threads: usize,
-    seed_mode: SeedMode,
 }
 
 /// The worker-thread count an [`Ensemble`] resolves by default: 1 under
@@ -160,7 +146,7 @@ impl Ensemble {
     /// Panics if `trials` is zero.
     pub fn new(trials: u64, master_seed: u64) -> Self {
         assert!(trials >= 1, "an ensemble needs at least one trial");
-        Self { trials, master_seed, threads: resolve_threads(), seed_mode: SeedMode::Split }
+        Self { trials, master_seed, threads: resolve_threads() }
     }
 
     /// Overrides the thread count (wins over the environment).
@@ -172,19 +158,6 @@ impl Ensemble {
         assert!(threads >= 1, "thread count must be at least 1");
         self.threads = threads;
         self
-    }
-
-    /// Selects the per-trial seed derivation; see [`SeedMode`].
-    pub fn with_seed_mode(mut self, mode: SeedMode) -> Self {
-        self.seed_mode = mode;
-        self
-    }
-
-    /// Shorthand for [`SeedMode::Offset`]: trial `i` gets
-    /// `seeded_rng(master_seed + i)`, exactly like the pre-ensemble bench
-    /// trial loops.
-    pub fn legacy_offset_seeds(self) -> Self {
-        self.with_seed_mode(SeedMode::Offset)
     }
 
     /// Number of trials.
@@ -202,16 +175,13 @@ impl Ensemble {
         self.master_seed
     }
 
-    /// The seed of trial `trial` under the configured [`SeedMode`].
+    /// The seed of trial `trial`: [`split_seed`]`(master_seed, trial)`.
     pub fn trial_seed(&self, trial: u64) -> u64 {
-        match self.seed_mode {
-            SeedMode::Split => split_seed(self.master_seed, trial),
-            SeedMode::Offset => self.master_seed.wrapping_add(trial),
-        }
+        split_seed(self.master_seed, trial)
     }
 
     /// A fresh RNG for trial `trial` — a pure function of
-    /// `(master_seed, seed_mode, trial)`.
+    /// `(master_seed, trial)`.
     pub fn trial_rng(&self, trial: u64) -> StdRng {
         StdRng::seed_from_u64(self.trial_seed(trial))
     }
@@ -977,16 +947,6 @@ mod tests {
         for i in 0..16 {
             state = state.wrapping_add(GOLDEN);
             assert_eq!(split_seed(master, i), splitmix64_mix(state));
-        }
-    }
-
-    #[test]
-    fn offset_mode_matches_legacy_seeding() {
-        let e = Ensemble::new(8, 1000).legacy_offset_seeds().with_threads(1);
-        let draws = e.map(|_t, rng| rng.gen_range(0u64..1_000_000));
-        for (i, &d) in draws.iter().enumerate() {
-            let mut legacy = seeded_rng(1000 + i as u64);
-            assert_eq!(d, legacy.gen_range(0u64..1_000_000));
         }
     }
 

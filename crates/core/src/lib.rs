@@ -94,8 +94,8 @@ pub mod prelude {
         StepTransition,
     };
     pub use crate::ensemble::{
-        split_seed, Ensemble, EnsembleReport, FaultEnsembleReport, LogHistogram, SeedMode,
-        TrialSummary, Welford,
+        split_seed, Ensemble, EnsembleReport, FaultEnsembleReport, LogHistogram, TrialSummary,
+        Welford,
     };
     pub use crate::error::PopulationError;
     pub use crate::faults::{
@@ -129,8 +129,8 @@ pub use engine::{
     StepTransition,
 };
 pub use ensemble::{
-    split_seed, Ensemble, EnsembleReport, FaultEnsembleReport, LogHistogram, SeedMode,
-    TrialSummary, Welford,
+    split_seed, Ensemble, EnsembleReport, FaultEnsembleReport, LogHistogram, TrialSummary,
+    Welford,
 };
 pub use error::PopulationError;
 pub use faults::{
@@ -150,6 +150,6 @@ pub use scheduler::{
 };
 pub use spec::{
     EngineSel, FaultSpec, JsonValue, MeanFieldSpec, ProbeSpec, ProtocolRef, RunOutcome,
-    RunReport, RunSpec, SeedModeSpec, SingleRun, SpecError, StopCondition, TopologySpec,
+    RunReport, RunSpec, SingleRun, SpecError, StopCondition, TopologySpec,
 };
 pub use trace::{ChromeTracer, NoTracer, RunManifest, SpanKind, SpanStats, Tracer};

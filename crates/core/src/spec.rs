@@ -46,7 +46,7 @@ use std::fmt;
 use rand::rngs::StdRng;
 
 use crate::engine::{seeded_rng, AgentSimulation, Simulation};
-use crate::ensemble::{Ensemble, EnsembleReport, SeedMode};
+use crate::ensemble::{Ensemble, EnsembleReport};
 use crate::faults::{
     CorruptionMode, CrashFaults, FaultCtx, FaultPlan, InteractionDrop, Mttr,
     TransientCorruption,
@@ -328,18 +328,6 @@ impl StopCondition {
     }
 }
 
-/// How trial seeds derive from the master seed (mirrors
-/// [`SeedMode`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SeedModeSpec {
-    /// SplitMix64 seed splitting (the default).
-    #[default]
-    Split,
-    /// Legacy `master + trial` offsets (kept for benches pinned to the
-    /// historical streams).
-    Offset,
-}
-
 /// Declarative fault plan: crash bursts, uniform corruption bursts, and an
 /// interaction-drop probability, composed in that order.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -440,8 +428,6 @@ pub struct RunSpec {
     pub population: Vec<(String, u64)>,
     /// Master seed.
     pub seed: u64,
-    /// Trial-seed derivation.
-    pub seed_mode: SeedModeSpec,
     /// Which engine runs it.
     pub engine: EngineSel,
     /// Topology for the agents engine (`None` elsewhere).
@@ -470,7 +456,6 @@ impl RunSpec {
             protocol,
             population,
             seed,
-            seed_mode: SeedModeSpec::Split,
             engine: EngineSel::Sequential,
             topology: None,
             trials: 1,
@@ -504,14 +489,6 @@ impl RunSpec {
         self.horizon.unwrap_or_else(|| Self::default_horizon(self.population_size()))
     }
 
-    /// The ensemble seed mode.
-    pub fn ensemble_seed_mode(&self) -> SeedMode {
-        match self.seed_mode {
-            SeedModeSpec::Split => SeedMode::Split,
-            SeedModeSpec::Offset => SeedMode::Offset,
-        }
-    }
-
     /// Parses a spec from a JSON request body. Unknown fields are
     /// rejected (typo guard), missing optional fields take defaults.
     ///
@@ -538,7 +515,7 @@ impl RunSpec {
             }
         };
         const KNOWN: &[&str] = &[
-            "protocol", "population", "seed", "seed_mode", "engine", "topology",
+            "protocol", "population", "seed", "engine", "topology",
             "trials", "threads", "horizon", "stop", "faults", "probe", "mean_field",
         ];
         for (k, _) in fields {
@@ -554,15 +531,7 @@ impl RunSpec {
             v.get("population").ok_or(SpecError::MissingField("population"))?,
         )?;
         let seed = opt_u64(v, "seed")?.unwrap_or(0);
-        let seed_mode = match v.get("seed_mode").and_then(JsonValue::as_str) {
-            None => SeedModeSpec::Split,
-            Some("split") => SeedModeSpec::Split,
-            Some("offset") => SeedModeSpec::Offset,
-            Some(other) => {
-                return Err(bad("seed_mode", &format!("unknown mode {other:?}")))
-            }
-        };
-        let engine = match v.get("engine").and_then(JsonValue::as_str) {
+        let engine = match opt_str(v, "engine")? {
             None | Some("sequential") => EngineSel::Sequential,
             Some("batched") => EngineSel::Batched,
             Some("agents") => EngineSel::Agents,
@@ -576,7 +545,7 @@ impl RunSpec {
         let trials = opt_u64(v, "trials")?.unwrap_or(1).max(1);
         let threads = opt_u64(v, "threads")?.unwrap_or(0) as usize;
         let horizon = opt_u64(v, "horizon")?;
-        let stop = match v.get("stop").and_then(JsonValue::as_str) {
+        let stop = match opt_str(v, "stop")? {
             None | Some("stabilization") => StopCondition::Stabilization,
             Some("consensus") => StopCondition::Consensus,
             Some("fixed") => StopCondition::FixedSteps,
@@ -605,7 +574,6 @@ impl RunSpec {
             protocol,
             population,
             seed,
-            seed_mode,
             engine,
             topology,
             trials,
@@ -652,9 +620,6 @@ impl RunSpec {
             ),
         ));
         obj.push(("seed".to_string(), JsonValue::Num(self.seed as f64)));
-        if self.seed_mode == SeedModeSpec::Offset {
-            obj.push(("seed_mode".to_string(), JsonValue::Str("offset".to_string())));
-        }
         obj.push(("engine".to_string(), JsonValue::Str(self.engine.name().to_string())));
         if let Some(t) = &self.topology {
             let mut tf = vec![("kind".to_string(), JsonValue::Str(t.kind().to_string()))];
@@ -749,6 +714,13 @@ fn opt_u64(v: &JsonValue, field: &'static str) -> Result<Option<u64>, SpecError>
             .as_u64()
             .map(Some)
             .ok_or_else(|| bad(field, "must be a non-negative integer")),
+    }
+}
+
+fn opt_str<'a>(v: &'a JsonValue, field: &'static str) -> Result<Option<&'a str>, SpecError> {
+    match v.get(field) {
+        None | Some(JsonValue::Null) => Ok(None),
+        Some(x) => x.as_str().map(Some).ok_or_else(|| bad(field, "must be a string")),
     }
 }
 
@@ -894,10 +866,13 @@ fn parse_probe(v: &JsonValue) -> Result<ProbeSpec, SpecError> {
             match kind {
                 "none" => Ok(ProbeSpec::default()),
                 "jsonl" => {
-                    let stride = v.get("stride").and_then(JsonValue::as_u64).unwrap_or(1);
-                    if stride == 0 {
-                        return Err(bad("probe.stride", "must be >= 1"));
-                    }
+                    let stride = match v.get("stride") {
+                        None | Some(JsonValue::Null) => 1,
+                        Some(x) => x
+                            .as_u64()
+                            .filter(|&s| s >= 1)
+                            .ok_or_else(|| bad("probe.stride", "must be an integer >= 1"))?,
+                    };
                     Ok(ProbeSpec { jsonl: true, stride })
                 }
                 other => Err(bad("probe", &format!("unknown kind {other:?}"))),
@@ -922,7 +897,11 @@ fn parse_mean_field(v: &JsonValue) -> Result<MeanFieldSpec, SpecError> {
                     .ok_or_else(|| bad("mean_field.horizon", "must be a positive time"))?;
             }
             "diffusion" => {
-                out.diffusion = matches!(fv, JsonValue::Bool(true));
+                out.diffusion = match fv {
+                    JsonValue::Null => false,
+                    JsonValue::Bool(b) => *b,
+                    _ => return Err(bad("mean_field.diffusion", "must be a boolean")),
+                };
             }
             "population" => {
                 out.population = Some(
@@ -1406,8 +1385,7 @@ where
 }
 
 fn ensemble_of(spec: &RunSpec) -> Ensemble {
-    let mut ens =
-        Ensemble::new(spec.trials, spec.seed).with_seed_mode(spec.ensemble_seed_mode());
+    let mut ens = Ensemble::new(spec.trials, spec.seed);
     if spec.threads != 0 {
         ens = ens.with_threads(spec.threads);
     }
@@ -1517,6 +1495,23 @@ mod tests {
             r#"{"protocol":{"name":"majority"},"population":{"0":2,"0":3}}"#
         )
         .is_err());
+        // Retired field: trial seeds always derive by `split_seed`.
+        assert!(matches!(
+            RunSpec::from_json(r#"{"protocol":{"name":"majority"},"population":{"0":2},"seed_mode":"offset"}"#),
+            Err(SpecError::UnknownField(f)) if f == "seed_mode"
+        ));
+        // A wrong-typed value is refused, never read as its default.
+        for (body, field) in [
+            (r#""engine":5"#, "engine"),
+            (r#""stop":true"#, "stop"),
+            (r#""probe":{"kind":"jsonl","stride":"x"}"#, "probe.stride"),
+            (r#""mean_field":{"diffusion":"yes"}"#, "mean_field.diffusion"),
+        ] {
+            let text = format!(r#"{{"protocol":{{"name":"majority"}},"population":{{"0":2}},{body}}}"#);
+            let err = RunSpec::from_json(&text).unwrap_err();
+            assert_eq!(err.code(), "bad_field", "{body}");
+            assert!(matches!(&err, SpecError::BadField { field: f, .. } if f == field), "{body}");
+        }
         let err = RunSpec::from_json("not json at all").unwrap_err();
         assert_eq!(err.code(), "parse_error");
         assert_eq!(err.http_status(), 400);

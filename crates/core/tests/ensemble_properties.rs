@@ -4,7 +4,7 @@
 //! for the fault-injected path — and the mergeable statistics must agree
 //! with their single-pass sequential counterparts.
 
-use pp_core::ensemble::{Ensemble, EnsembleReport, LogHistogram, SeedMode, Welford};
+use pp_core::ensemble::{Ensemble, EnsembleReport, LogHistogram, Welford};
 use pp_core::faults::{CrashFaults, TransientCorruption};
 use pp_core::observe::{MergeProbe, MetricsProbe};
 use pp_core::{seeded_rng, split_seed, FnProtocol, Protocol, Simulation};
@@ -193,13 +193,11 @@ fn split_seeds_decorrelate_adjacent_masters_and_trials() {
 }
 
 #[test]
-fn seed_modes_differ_but_both_are_deterministic() {
+fn trial_seeds_are_deterministic_split_seeds() {
     let split = Ensemble::new(8, 5).with_threads(2);
-    let offset = Ensemble::new(8, 5).with_threads(2).with_seed_mode(SeedMode::Offset);
-    assert_ne!(split.trial_seed(1), offset.trial_seed(1));
-    assert_eq!(offset.trial_seed(3), 8);
     // Same configuration → same seeds, independent of how often we ask.
     assert_eq!(split.trial_seed(4), split.trial_seed(4));
+    assert_eq!(split.trial_seed(4), split_seed(5, 4));
 }
 
 #[test]

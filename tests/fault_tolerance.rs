@@ -227,7 +227,7 @@ fn self_stab_exact_majority_stays_wrong_after_flood_init() {
     // Regression pin for the negative result: flooding the Lemma 5 majority
     // protocol with a leaderless false-verdict state freezes the population
     // on the wrong answer — it has no self-stabilization to offer.
-    let ens = Ensemble::new(4, 77).legacy_offset_seeds();
+    let ens = Ensemble::new(4, 77);
     let report = ens.run_with_faults(
         |_| {
             let sim = Simulation::from_counts(majority(), [(0usize, 6), (1usize, 7)]);
