@@ -128,9 +128,10 @@ fn main() {
 
     println!("\nreading: approx recovers across the sweep (time grows with phi);");
     println!("exact majority recovers only while the corrupted sum keeps the");
-    println!("original sign — each post-stabilization corruption adds +1, so the");
-    println!("verdict flips once ceil(phi*n) exceeds the margin {m} (phi = {f});", m = 2 * ones - n, f = fmt((2 * ones - n) as f64 / n as f64));
-    println!("past that it stabilizes wrong: recovery rate 0, no recovery time\n");
+    println!("original sign — each post-stabilization corruption adds +1 and erases");
+    println!("the rewritten agent's share of the tally, so the verdict can flip before");
+    println!("ceil(phi*n) reaches the margin {m} (phi = {f}) and always flips past it;", m = 2 * ones - n, f = fmt((2 * ones - n) as f64 / n as f64));
+    println!("a flipped run stabilizes wrong: no recovery, no recovery time\n");
     report.write();
 }
 
